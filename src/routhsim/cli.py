@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a requested check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -58,8 +59,7 @@ def _load_scenario(args):
             seed = tuple(float(v) for v in args.seed_override.split(","))
         except ValueError as exc:
             raise ScenarioError(f"bad --seed-override: {exc}") from exc
-        sc = type(sc)(model=sc.model, task=sc.task, params=sc.params,
-                      seed=seed, numerics=sc.numerics, outputs=sc.outputs)
+        sc = dataclasses.replace(sc, seed=seed)
     return sc
 
 
@@ -99,12 +99,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
     if args.as_json:
-        payload = {"scenario": report.scenario, "task": report.task,
-                   "results": report.results, "checks": report.checks,
-                   "impact_times": report.impact_times,
-                   "wall_seconds": report.wall_seconds,
-                   "passed": report.passed}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.as_dict(), indent=2))
     elif not args.quiet:
         _summarize(report)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -1,18 +1,20 @@
 """Execution engine for simple hybrid systems.
 
-Integrates a smooth vector field with an adaptive RK5(4) scheme, detects
-directional guard crossings on the dense output, refines event times by
-bracketing root-finding, applies the reset map, and enforces anti-Zeno and
-post-reset admissibility conditions.
+Integrates a smooth vector field with an adaptive RK5(4) scheme and scans
+each accepted step on its dense output as it goes, stopping at the first
+directional guard crossing. This is the one place where crossings are found:
+the same scan also reports the first crossing of a watched function, which
+the Poincare return map uses for its section. Event times are refined by
+bracketing root-finding; the module then applies the reset map and enforces
+anti-Zeno and post-reset admissibility conditions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution
 from scipy.optimize import brentq
 
 from . import _fd
@@ -20,7 +22,7 @@ from . import _fd
 EVENT_TOL = 1e-10
 TANGENT_TOL = 1e-8
 DEFAULT_TOL = 1e-10
-_SUBSTEPS = 8  # guard samples per integrator step when scanning for sign changes
+_SUBSTEPS = 8  # samples per accepted step when scanning for sign changes
 
 RISING = "rising"
 FALLING = "falling"
@@ -131,12 +133,107 @@ def guard_rate(spec: HybridSystemSpec, s: np.ndarray) -> float:
     return float(grad @ np.asarray(spec.vector_field(s), dtype=float))
 
 
-def _wanted_crossing(direction: str, g0: float, g1: float) -> bool:
-    if direction == RISING:
-        return g0 < 0.0 <= g1
-    if direction == FALLING:
-        return g0 > 0.0 >= g1
-    return (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
+def _first_crossing(direction: str, g: np.ndarray, start: int):
+    """Index i >= start of the first pair (g[i], g[i+1]) crossing zero in `direction`."""
+    g0, g1 = g[:-1], g[1:]
+    up = (g0 < 0.0) & (g1 >= 0.0)
+    down = (g0 > 0.0) & (g1 <= 0.0)
+    hit = up if direction == RISING else down if direction == FALLING else up | down
+    idx = np.flatnonzero(hit[start:])
+    return None if idx.size == 0 else start + int(idx[0])
+
+
+def _root(fn, dense, t_lo: float, t_hi: float, f_hi: float) -> float:
+    """Time in [t_lo, t_hi] at which fn vanishes along the dense output."""
+    if f_hi == 0.0:
+        return float(t_hi)
+    return float(brentq(lambda t: float(fn(dense(t))), t_lo, t_hi,
+                        xtol=1e-14, rtol=8.9e-16))
+
+
+def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
+          tol: float, watch=None):
+    """Step RK45 from `start` and stop at the first wanted crossing.
+
+    Each accepted step is sampled at _SUBSTEPS + 1 points of its dense
+    output, so a pair of crossings inside one step is still seen. The flow
+    stops at the first step that holds a wanted guard crossing or, with
+    watch = (fn, direction, t_min), a wanted sign change of fn on a sample
+    pair starting at or after t_min. Returns (Segment, ImpactEvent or None,
+    watch hit as (time, state) or None); a watch hit later than the impact
+    in the same step is dropped.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    y0 = as_state(start)
+    if t_max <= t_start:
+        raise ValueError("t_max must exceed t_start")
+
+    solver = RK45(lambda t, y: np.asarray(spec.vector_field(y), dtype=float),
+                  float(t_start), y0, float(t_max), rtol=tol, atol=tol)
+    ts, ys, steps = [float(t_start)], [y0], []
+    g_prev = float(spec.guard(y0))
+    # A segment that starts on the guard (post-reset case) skips its leading
+    # on-guard samples so the departure is not mistaken for a crossing.
+    on_guard = abs(g_prev) <= spec.event_tol
+    if watch is not None:
+        fn, w_direction, t_min = watch
+        w_prev = float(fn(y0))
+    event = hit = None
+    while event is None and hit is None and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"integrator failed: {message}")
+        steps.append(solver.dense_output())
+        ts.append(solver.t)
+        ys.append(solver.y)
+        grid = np.linspace(solver.t_old, solver.t, _SUBSTEPS + 1)
+        states = steps[-1](grid[1:]).T
+        g = np.array([g_prev] + [float(spec.guard(s)) for s in states])
+        g_prev = g[-1]
+        first = 0
+        if on_guard:
+            off = np.flatnonzero(np.abs(g) > spec.event_tol)
+            on_guard = off.size == 0
+            first = g.size if on_guard else int(off[0])
+        i = _first_crossing(spec.guard_direction, g, first)
+        j = None
+        if watch is not None:
+            w = np.array([w_prev] + [float(fn(s)) for s in states])
+            w_prev = w[-1]
+            j = _first_crossing(w_direction, w, int(np.searchsorted(grid, t_min)))
+        if i is None and j is None:
+            continue
+
+        dense = OdeSolution(ts, steps)
+        if i is not None:
+            t_event = _root(spec.guard, dense, grid[i], grid[i + 1], g[i + 1])
+            pre = np.asarray(dense(t_event), dtype=float)
+            residual = abs(float(spec.guard(pre)))
+            if residual > spec.event_tol:
+                raise IntegrationError(
+                    f"event refinement stalled: |guard| = {residual:.3e} "
+                    f"> {spec.event_tol:.3e}")
+            rate = guard_rate(spec, pre)
+            if abs(rate) < TANGENT_TOL:
+                raise TangentialCrossingError(
+                    f"guard derivative {rate:.3e} at t={t_event:.6g}; "
+                    "tangential crossing is not resolvable")
+            event = ImpactEvent(time=t_event, pre_state=pre, post_state=None,
+                                guard_residual=residual)
+        if j is not None and (i is None or j <= i):
+            t_hit = _root(fn, dense, grid[j], grid[j + 1], w[j + 1])
+            if event is None or t_hit <= event.time:
+                hit = (t_hit, np.asarray(dense(t_hit), dtype=float))
+
+    if event is None:
+        t_grid, y_grid = np.array(ts), np.vstack(ys)
+    else:
+        keep = int(np.searchsorted(ts, event.time))  # knots before the event
+        t_grid = np.append(ts[:keep], event.time)
+        y_grid = np.vstack(ys[:keep] + [event.pre_state])
+    dense = OdeSolution(t_grid, steps[:t_grid.size - 1])
+    return Segment(t=t_grid, y=y_grid, dense=dense), event, hit
 
 
 def integrate_segment(
@@ -148,69 +245,13 @@ def integrate_segment(
 ):
     """Flow from `start` until t_max or the first directional guard crossing.
 
-    Returns (Segment, ImpactEvent or None). The event's post_state is left
-    unset; callers pass the event through apply_reset. An event time is
-    refined on the dense output until |guard| <= spec.event_tol.
+    Returns (Segment, ImpactEvent or None). The flow stops at the first
+    crossing, whose time is refined on the dense output until
+    |guard| <= spec.event_tol; the segment's samples and dense output end at
+    the event time, or at t_max when there is none. The event's post_state
+    is left unset; callers pass the event through apply_reset.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    y0 = as_state(start)
-    if t_max <= t_start:
-        raise ValueError("t_max must exceed t_start")
-
-    f = lambda t, y: np.asarray(spec.vector_field(y), dtype=float)
-    sol = solve_ivp(f, (t_start, t_max), y0, method="RK45",
-                    rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-
-    # Scan a refinement of the accepted steps for guard sign changes.
-    knots = sol.t
-    grids = [np.linspace(knots[i], knots[i + 1], _SUBSTEPS + 1)
-             for i in range(len(knots) - 1)]
-    t_fine = np.unique(np.concatenate(grids)) if grids else knots
-    g_fine = np.array([spec.guard(sol.sol(t)) for t in t_fine])
-
-    # If the segment starts on the guard (post-reset case), skip the leading
-    # on-guard samples so the departure is not mistaken for a crossing.
-    i0 = 0
-    if abs(g_fine[0]) <= spec.event_tol:
-        while i0 + 1 < len(t_fine) and abs(g_fine[i0]) <= spec.event_tol:
-            i0 += 1
-
-    event = None
-    for i in range(i0, len(t_fine) - 1):
-        if not _wanted_crossing(spec.guard_direction, g_fine[i], g_fine[i + 1]):
-            continue
-        gfun = lambda t: float(spec.guard(sol.sol(t)))
-        if g_fine[i + 1] == 0.0:
-            t_event = float(t_fine[i + 1])
-        else:
-            t_event = float(brentq(gfun, t_fine[i], t_fine[i + 1],
-                                   xtol=1e-14, rtol=8.9e-16))
-        pre = np.asarray(sol.sol(t_event), dtype=float)
-        residual = abs(float(spec.guard(pre)))
-        if residual > spec.event_tol:
-            raise IntegrationError(
-                f"event refinement stalled: |guard| = {residual:.3e} "
-                f"> {spec.event_tol:.3e}")
-        rate = guard_rate(spec, pre)
-        if abs(rate) < TANGENT_TOL:
-            raise TangentialCrossingError(
-                f"guard derivative {rate:.3e} at t={t_event:.6g}; "
-                "tangential crossing is not resolvable")
-        event = ImpactEvent(time=t_event, pre_state=pre, post_state=None,
-                            guard_residual=residual)
-        break
-
-    if event is None:
-        t_grid = sol.t
-        y_grid = sol.y.T
-    else:
-        keep = sol.t < event.time
-        t_grid = np.append(sol.t[keep], event.time)
-        y_grid = np.vstack([sol.y.T[keep], event.pre_state])
-    segment = Segment(t=t_grid, y=y_grid, dense=sol.sol)
+    segment, event, _ = _flow(spec, start, t_start, t_max, tol)
     return segment, event
 
 

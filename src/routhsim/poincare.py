@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hybrid import (
     RISING,
-    FALLING,
     HybridSystemSpec,
     NoImpactError,
     TangentialCrossingError,
     as_state,
+    _flow,
     apply_reset,
     integrate_segment,
 )
@@ -98,35 +97,6 @@ def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
     return math.inf if event is None else event.time
 
 
-def _section_crossing(section: PoincareSection, segment, t_min: float):
-    """First directional section crossing in a segment after t_min, refined."""
-    t = segment.t
-    if t[-1] <= t_min:
-        return None
-    grids = [np.linspace(t[i], t[i + 1], 9) for i in range(len(t) - 1)]
-    tf = np.unique(np.concatenate(grids)) if grids else t
-    tf = tf[tf >= t_min]
-    if tf.size < 2:
-        return None
-    g = np.array([section.offset(segment.dense(tk)) for tk in tf])
-    for i in range(len(tf) - 1):
-        if section.crossing_direction == RISING:
-            hit = g[i] < 0.0 <= g[i + 1]
-        elif section.crossing_direction == FALLING:
-            hit = g[i] > 0.0 >= g[i + 1]
-        else:
-            hit = (g[i] < 0.0 <= g[i + 1]) or (g[i] > 0.0 >= g[i + 1])
-        if not hit:
-            continue
-        fun = lambda tk: section.offset(segment.dense(tk))
-        if g[i + 1] == 0.0:
-            tc = float(tf[i + 1])
-        else:
-            tc = float(brentq(fun, tf[i], tf[i + 1], xtol=1e-14, rtol=8.9e-16))
-        return tc, np.asarray(segment.dense(tc), dtype=float)
-    return None
-
-
 def return_map(
     spec: HybridSystemSpec,
     section: PoincareSection,
@@ -143,21 +113,20 @@ def return_map(
     """
     state = section.lift(chart_point)
     t = 0.0
-    impacts = 0
-    for _ in range(max_cycles + 1):
-        segment, event = integrate_segment(spec, state, t, t + t_max, tol=tol)
+    for impacts in range(max_cycles + 1):
+        watch = None
         if impacts > 0 or not require_impact:
             # Ignore the immediate departure from the section itself.
-            hit = _section_crossing(section, segment, t_min=t + 1e-9)
-            if hit is not None and (event is None or hit[0] <= event.time):
-                return section.to_chart(hit[1])
+            watch = (section.offset, section.crossing_direction, t + 1e-9)
+        _, event, hit = _flow(spec, state, t, t + t_max, tol, watch)
+        if hit is not None:
+            return section.to_chart(hit[1])
         if event is None:
             raise NoReturnError(
                 f"no section return within t_max={t_max:g} "
                 f"after {impacts} impact(s)")
         state = apply_reset(spec, event.pre_state, event.guard_residual)
         t = event.time
-        impacts += 1
     raise NoReturnError(f"no section return within {max_cycles} hybrid cycles")
 
 

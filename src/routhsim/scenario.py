@@ -8,7 +8,9 @@ scenario (re-running the echo reproduces the run).
 """
 from __future__ import annotations
 
+import dataclasses
 import io
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,14 +29,13 @@ from .symmetry import (
     reversibility_residual,
 )
 
-MODELS = ("pendulum", "slip", "controlled_slip", "custom")
+MODELS = ("pendulum", "slip", "controlled_slip")
 TASKS = ("simulate", "periodic_orbit", "poincare", "zero_dynamics", "check_suite")
 
 _PARAM_KEYS = {
     "pendulum": ("m", "k", "mu"),
     "slip": ("m", "inertia", "g", "l0", "kappa", "mu", "phi0"),
     "controlled_slip": ("m", "inertia", "g", "l0", "kappa", "mu", "c0", "c2"),
-    "custom": (),
 }
 _STATE_NAMES = {
     "pendulum": ("r", "rdot"),
@@ -59,8 +60,9 @@ class Numerics:
 
     def __post_init__(self):
         for name in ("tol", "event_tol", "t_max", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"numerics.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ScenarioError(f"numerics.{name} must be positive and finite")
         if self.max_impacts < 1:
             raise ScenarioError("numerics.max_impacts must be >= 1")
 
@@ -85,6 +87,13 @@ class Scenario:
     numerics: Numerics = Numerics()
     outputs: Outputs = Outputs()
 
+    def __post_init__(self):
+        for key, value in self.params.items():
+            if not math.isfinite(value):
+                raise ScenarioError(f"params.{key} must be finite")
+        if self.seed is not None and not all(map(math.isfinite, self.seed)):
+            raise ScenarioError("seed must be finite")
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -98,6 +107,14 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
+
+    def as_dict(self) -> dict:
+        """The payload of report.yaml and of the CLI's --json output."""
+        return {"scenario": self.scenario, "task": self.task,
+                "results": self.results, "checks": self.checks,
+                "impact_times": self.impact_times,
+                "wall_seconds": self.wall_seconds,
+                "passed": self.passed}
 
 
 def _check_mapping(node, allowed, context) -> dict:
@@ -117,7 +134,7 @@ def _pick(node: dict, key, cls, context):
     val = node[key]
     try:
         return cls(val)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{context}.{key}: {exc}") from exc
 
 
@@ -208,30 +225,20 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def _slip_params(sc: Scenario) -> models.SlipParams:
-    base = certified.CERTIFIED_SLIP.params
-    kw = {name: sc.params[name]
-          for name in ("m", "inertia", "g", "l0", "kappa", "mu", "phi0")
-          if name in sc.params}
-    defaults = {"m": base.m, "inertia": base.inertia, "g": base.g,
-                "l0": base.l0, "kappa": base.kappa, "mu": base.mu}
-    defaults.update(kw)
-    return models.SlipParams(**defaults)
+def _slip_params(sc: Scenario,
+                 base: models.SlipParams = certified.CERTIFIED_SLIP.params,
+                 ) -> models.SlipParams:
+    """`base` with the scenario's SLIP parameters laid over it."""
+    names = {f.name for f in dataclasses.fields(models.SlipParams)}
+    return dataclasses.replace(
+        base, **{k: v for k, v in sc.params.items() if k in names})
 
 
 def _controlled(sc: Scenario):
     cert = certified.CERTIFIED_CONTROLLED
-    c0 = sc.params.get("c0", cert.c0)
-    c2 = sc.params.get("c2", cert.c2)
-    coeffs = models.ConstraintCoefficients(c0, c2)
-    kw = {name: sc.params[name]
-          for name in ("m", "inertia", "g", "l0", "kappa", "mu")
-          if name in sc.params}
-    base = cert.params
-    defaults = {"m": base.m, "inertia": base.inertia, "g": base.g,
-                "l0": base.l0, "kappa": base.kappa, "mu": base.mu}
-    defaults.update(kw)
-    return models.SlipParams(**defaults), coeffs
+    coeffs = models.ConstraintCoefficients(sc.params.get("c0", cert.c0),
+                                           sc.params.get("c2", cert.c2))
+    return _slip_params(sc, cert.params), coeffs
 
 
 def _default_seed(sc: Scenario) -> np.ndarray:
@@ -245,12 +252,8 @@ def _default_seed(sc: Scenario) -> np.ndarray:
 
 
 def _with_numerics(spec: HybridSystemSpec, num: Numerics) -> HybridSystemSpec:
-    return HybridSystemSpec(vector_field=spec.vector_field, guard=spec.guard,
-                            reset=spec.reset,
-                            guard_direction=spec.guard_direction,
-                            min_inter_impact=spec.min_inter_impact,
-                            max_impacts=num.max_impacts,
-                            event_tol=num.event_tol)
+    return dataclasses.replace(spec, max_impacts=num.max_impacts,
+                               event_tol=num.event_tol)
 
 
 def write_trajectory_csv(path, names, segments, stride: int = 1):
@@ -352,9 +355,7 @@ def _task_poincare(sc: Scenario, num: Numerics):
 
     # Stability model: touchdown angle pinned at the certified impact angle,
     # which is the convention in which the reset loses rank.
-    pinned = models.SlipParams(m=params.m, inertia=params.inertia, g=params.g,
-                               l0=params.l0, kappa=params.kappa, mu=params.mu,
-                               phi0=abs(float(impact[1])))
+    pinned = dataclasses.replace(params, phi0=abs(float(impact[1])))
     pinned_spec = _with_numerics(models.slip_hybrid_spec(pinned), num)
     section = models.slip_section(seed)
     jac = poincare.jacobian(pinned_spec, section, h=num.fd_step,
@@ -471,11 +472,6 @@ def run(sc: Scenario, out_dir=".") -> RunReport:
                        results=_plain(results), checks=_plain(checks),
                        impact_times=[float(t) for t in impact_times],
                        wall_seconds=float(wall))
-    payload = {"scenario": report.scenario, "task": report.task,
-               "results": report.results, "checks": report.checks,
-               "impact_times": report.impact_times,
-               "wall_seconds": report.wall_seconds,
-               "passed": report.passed}
     with open(os.path.join(out_dir, sc.outputs.report), "w", newline="\n") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=False)
+        yaml.safe_dump(report.as_dict(), fh, sort_keys=False)
     return report

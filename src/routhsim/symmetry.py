@@ -159,17 +159,6 @@ class PeriodicOrbit:
     time_symmetry_residual: float
 
 
-def _first_impact(spec, start, t_start, t_max, tol):
-    """Flow to the first guard crossing, extending the horizon by 10% once."""
-    segment, event = integrate_segment(spec, start, t_start, t_max, tol=tol)
-    if event is None:
-        segment, event = integrate_segment(spec, start, t_start,
-                                           t_start + 1.1 * (t_max - t_start), tol=tol)
-    if event is None:
-        raise NoImpactError(f"no guard crossing within t_max={t_max:g}")
-    return segment, event
-
-
 def construct_periodic_orbit(
     spec: HybridSystemSpec,
     sym: ReversalSymmetry,
@@ -191,7 +180,9 @@ def construct_periodic_orbit(
     if not is_fixed_point(sym, s0, tol=fixed_point_tol):
         raise ValueError("seed is not a fixed point of the reversal symmetry")
 
-    seg1, event = _first_impact(spec, s0, 0.0, t_max, tol)
+    seg1, event = integrate_segment(spec, s0, 0.0, t_max, tol=tol)
+    if event is None:
+        raise NoImpactError(f"no guard crossing within t_max={t_max:g}")
     t1 = event.time
     phi_pre = sym.phi(event.pre_state)
     reset_pre = as_state(spec.reset(event.pre_state))

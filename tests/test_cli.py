@@ -52,6 +52,17 @@ class TestInputErrors:
         code = main(["periodic_orbit", "--scenario", str(orbit_scenario),
                      "--out", str(tmp_path), "--seed-override", "a,b,c,d"])
         assert code == EXIT_INPUT_ERROR
+        code = main(["periodic_orbit", "--scenario", str(orbit_scenario),
+                     "--out", str(tmp_path), "--seed-override", "0.8,0,0,nan"])
+        assert code == EXIT_INPUT_ERROR
+
+    def test_non_finite_numerics(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(ORBIT_DOC.replace("{t_max: 5.0}", "{t_max: .nan}"))
+        code = main(["periodic_orbit", "--scenario", str(path),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "numerics.t_max" in capsys.readouterr().err
 
 
 class TestNumericalErrors:

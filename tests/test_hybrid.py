@@ -1,6 +1,8 @@
 """Hybrid execution engine: events, resets, anti-Zeno and admissibility."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routhsim.hybrid import (
     AdmissibilityError,
@@ -26,12 +28,13 @@ def sawtooth(reset=None, **kw):
     )
 
 
-def harmonic():
+def harmonic(level=0.0, direction="falling"):
+    """x'' = -x with the guard x = level."""
     return HybridSystemSpec(
         vector_field=lambda s: np.array([s[1], -s[0]]),
-        guard=lambda s: float(s[0]),
+        guard=lambda s: float(s[0]) - level,
         reset=lambda s: np.array(s),
-        guard_direction="falling",
+        guard_direction=direction,
     )
 
 
@@ -110,6 +113,50 @@ class TestIntegrateSegment:
             errs.append(abs(segment.dense(2.0 * np.pi)[0] - 1.0))
         assert errs[1] <= errs[0] + 1e-12
 
+
+class TestCrossingProperties:
+    @settings(deadline=None)
+    @given(st.floats(-6.0, -2.0))
+    def test_near_grazing_crossing_found(self, log_eps):
+        # x = sin t rises above 1 - eps and falls back within 2 sqrt(2 eps):
+        # at the default tolerance a sign test at step ends alone misses
+        # this pair, so the test pins the sub-step sampling.
+        eps = 10.0 ** log_eps
+        spec = harmonic(level=1.0 - eps, direction="rising")
+        _, event = integrate_segment(spec, [0.0, 1.0], 0.0, 3.0)
+        assert event is not None
+        # The guard rate is only sqrt(2 eps), so a state error d moves the
+        # event time by d / rate: check the exact flow's guard there, and
+        # the time itself at a tolerance that resolves it.
+        assert abs(np.sin(event.time) - (1.0 - eps)) <= 1e-9
+        _, fine = integrate_segment(spec, [0.0, 1.0], 0.0, 3.0, tol=1e-12)
+        assert fine.time == pytest.approx(np.arcsin(1.0 - eps), abs=1e-8)
+
+    @settings(deadline=None)
+    @given(st.floats(0.01, 0.99), st.floats(2.0, 10.0))
+    def test_horizon_does_not_move_event(self, level, t_max):
+        spec = harmonic(level=level, direction="rising")
+        _, short = integrate_segment(spec, [0.0, 1.0], 0.0, t_max)
+        _, long = integrate_segment(spec, [0.0, 1.0], 0.0, 2.0 * t_max)
+        assert short.time == pytest.approx(np.arcsin(level), abs=1e-8)
+        assert long.time == short.time
+        np.testing.assert_array_equal(long.pre_state, short.pre_state)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["rising", "falling", "both"]),
+           st.floats(0.1, 2.0), st.sampled_from([1.0, -1.0]),
+           st.floats(0.0, 5e-11))
+    def test_start_on_guard_is_not_a_crossing(self, direction, speed, sign,
+                                              offset):
+        # x = v sin t (shifted back by an offset within event_tol) leaves the
+        # guard x = 0 at once, then crosses it near pi (against the sign of
+        # v) and near 2 pi (with it). The departure must not count.
+        v = sign * speed
+        _, event = integrate_segment(harmonic(direction=direction),
+                                     [-sign * offset, v], 0.0, 7.0)
+        at_pi = direction == "both" or (direction == "rising") == (v < 0)
+        expected = np.pi if at_pi else 2.0 * np.pi
+        assert event.time == pytest.approx(expected, abs=1e-8)
 
 class TestApplyReset:
     def test_inward_post_state_accepted(self):

@@ -68,6 +68,10 @@ class TestParsing:
             parse_scenario("model: slip\ntask: simulate\nseed: nope\n")
         with pytest.raises(ScenarioError):
             parse_scenario("model: slip\ntask: simulate\nseed: [1.0, aa]\n")
+        for bad in (".nan", ".inf", "-.inf"):
+            with pytest.raises(ScenarioError):
+                parse_scenario("model: slip\ntask: simulate\n"
+                               f"seed: [0.8, 0.0, 0.0, {bad}]\n")
 
     def test_nonpositive_numerics_rejected(self):
         with pytest.raises(ScenarioError):
@@ -76,6 +80,11 @@ class TestParsing:
             parse_scenario("model: slip\ntask: simulate\nnumerics: {t_max: 0}\n")
         with pytest.raises(ScenarioError):
             Numerics(max_impacts=0)
+        for key in ("tol", "event_tol", "t_max", "fd_step", "max_impacts"):
+            for bad in (".nan", ".inf"):
+                with pytest.raises(ScenarioError):
+                    parse_scenario("model: slip\ntask: simulate\n"
+                                   f"numerics: {{{key}: {bad}}}\n")
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ScenarioError):
@@ -84,6 +93,10 @@ class TestParsing:
     def test_non_numeric_param_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario("model: slip\ntask: simulate\nparams: {kappa: soft}\n")
+        for bad in (".nan", ".inf", "-.inf"):
+            with pytest.raises(ScenarioError):
+                parse_scenario("model: slip\ntask: simulate\n"
+                               f"params: {{kappa: {bad}}}\n")
 
     def test_accepts_preloaded_mapping(self):
         sc = parse_scenario({"model": "slip", "task": "simulate"})
