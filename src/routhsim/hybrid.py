@@ -73,7 +73,9 @@ class HybridSystemSpec:
     """A vector field, guard function, reset map and event policy.
 
     guard_direction selects the sign of d(guard)/dt at which crossings
-    trigger; 'both' accepts either sign.
+    trigger; 'both' accepts either sign. vector_field_jacobian, when given,
+    returns the closed-form Jacobian of vector_field at a state; the exact
+    return-map linearization falls back to central differences without it.
     """
 
     vector_field: Callable[[np.ndarray], np.ndarray]
@@ -83,6 +85,7 @@ class HybridSystemSpec:
     min_inter_impact: float = 1e-6
     max_impacts: int = 10_000
     event_tol: float = EVENT_TOL
+    vector_field_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.guard_direction not in _DIRECTIONS:

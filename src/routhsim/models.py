@@ -11,6 +11,7 @@ momentum enters only through a constant shift of the effective potential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -110,6 +111,20 @@ def slip_acceleration(params: SlipParams, s, u: float = 0.0):
     return xi_acc, phi_acc
 
 
+def slip_field_jacobian(params: SlipParams, s) -> np.ndarray:
+    """Closed-form Jacobian of the unactuated stance field at state s."""
+    xi, phi, xidot, phidot = s
+    g, kappa, m = params.g, params.kappa, params.m
+    sin, cos = np.sin(phi), np.cos(phi)
+    return np.array([
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [phidot ** 2 - kappa / m, g * sin, 0.0, 2.0 * xi * phidot],
+        [(2.0 * phidot * xidot - g * sin) / xi ** 2, g * cos / xi,
+         -2.0 * phidot / xi, -2.0 * xidot / xi],
+    ])
+
+
 def slip_routhian(params: SlipParams) -> RouthianSystem:
     def field(s):
         xi_acc, phi_acc = slip_acceleration(params, s)
@@ -147,15 +162,21 @@ def slip_reset(params: SlipParams):
 
 def slip_hybrid_spec(params: SlipParams, u_feedback=None,
                      max_impacts: int = 10_000) -> HybridSystemSpec:
-    """Hybrid stance system; u_feedback(state) -> scalar adds actuation."""
+    """Hybrid stance system; u_feedback(state) -> scalar adds actuation.
+
+    Without feedback the spec carries the closed-form field Jacobian; with
+    it, the feedback's derivative is unknown and linearization falls back to
+    central differences.
+    """
     def field(s):
         u = 0.0 if u_feedback is None else float(u_feedback(s))
         xi_acc, phi_acc = slip_acceleration(params, s, u)
         return np.array([s[2], s[3], xi_acc, phi_acc])
 
+    jac = partial(slip_field_jacobian, params) if u_feedback is None else None
     return HybridSystemSpec(vector_field=field, guard=slip_guard(params),
                             reset=slip_reset(params), guard_direction=RISING,
-                            max_impacts=max_impacts)
+                            max_impacts=max_impacts, vector_field_jacobian=jac)
 
 
 def slip_system(params: SlipParams):

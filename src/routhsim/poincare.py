@@ -2,19 +2,25 @@
 
 The section is a co-dimension-one hyperplane through the orbit's symmetry
 fixed point; the return map runs one full hybrid cycle (flow, reset, flow)
-and projects back to chart coordinates. Eigenvalues of its finite-difference
-Jacobian are checked against the reset-rank and symmetry lower bounds.
+and projects back to chart coordinates. Its Jacobian is exact up to the
+integration tolerance: the variational equations are flowed alongside the
+state, each impact multiplies the sensitivity by its saltation matrix, and
+the return is projected along the flow onto the section. Its eigenvalues are
+checked against the reset-rank and symmetry lower bounds.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _fd
 from .hybrid import (
     RISING,
+    TANGENT_TOL,
     HybridSystemSpec,
     NoImpactError,
     TangentialCrossingError,
@@ -24,6 +30,7 @@ from .hybrid import (
     integrate_segment,
 )
 
+MAX_CYCLES = 4  # hybrid cycles a return may take
 TOL_LAMBDA0 = 1e-4
 TOL_LAMBDA1 = 1e-4
 RANK_RTOL = 1e-8
@@ -97,6 +104,39 @@ def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
     return math.inf if event is None else event.time
 
 
+def _cycle(spec: HybridSystemSpec, section: PoincareSection, start, reset,
+           t_max: float, tol: float, require_impact: bool, max_cycles: int):
+    """Flow and reset from `start` until the section is crossed; the hit state.
+
+    The section is read from the first section.anchor.size entries of the
+    flowed state, and reset(event) gives the state that resumes the flow
+    after each impact. With require_impact a crossing only counts after at
+    least one reset has fired.
+    """
+    n = section.anchor.size
+
+    def offset(z):
+        return section.offset(z[:n])
+
+    state = start
+    t = 0.0
+    for impacts in range(max_cycles + 1):
+        watch = None
+        if impacts > 0 or not require_impact:
+            # Ignore the immediate departure from the section itself.
+            watch = (offset, section.crossing_direction, t + 1e-9)
+        _, event, hit = _flow(spec, state, t, t + t_max, tol, watch)
+        if hit is not None:
+            return hit[1]
+        if event is None:
+            raise NoReturnError(
+                f"no section return within t_max={t_max:g} "
+                f"after {impacts} impact(s)")
+        state = reset(event)
+        t = event.time
+    raise NoReturnError(f"no section return within {max_cycles} hybrid cycles")
+
+
 def return_map(
     spec: HybridSystemSpec,
     section: PoincareSection,
@@ -104,58 +144,89 @@ def return_map(
     t_max: float = 20.0,
     tol: float = 1e-10,
     require_impact: bool = True,
-    max_cycles: int = 4,
+    max_cycles: int = MAX_CYCLES,
 ) -> np.ndarray:
     """One full hybrid cycle from a chart point back to the section.
 
     By default a crossing only counts after at least one reset has fired, so
     the map is the flow -> reset -> flow composition of one stance cycle.
     """
-    state = section.lift(chart_point)
-    t = 0.0
-    for impacts in range(max_cycles + 1):
-        watch = None
-        if impacts > 0 or not require_impact:
-            # Ignore the immediate departure from the section itself.
-            watch = (section.offset, section.crossing_direction, t + 1e-9)
-        _, event, hit = _flow(spec, state, t, t + t_max, tol, watch)
-        if hit is not None:
-            return section.to_chart(hit[1])
-        if event is None:
-            raise NoReturnError(
-                f"no section return within t_max={t_max:g} "
-                f"after {impacts} impact(s)")
-        state = apply_reset(spec, event.pre_state, event.guard_residual)
-        t = event.time
-    raise NoReturnError(f"no section return within {max_cycles} hybrid cycles")
+    def reset(event):
+        return apply_reset(spec, event.pre_state, event.guard_residual)
+
+    hit = _cycle(spec, section, section.lift(chart_point), reset, t_max, tol,
+                 require_impact, max_cycles)
+    return section.to_chart(hit)
+
+
+def _variational_spec(spec: HybridSystemSpec, n: int) -> HybridSystemSpec:
+    """The flow of (x, Phi), Phi the n x n sensitivity, as one flat state.
+
+    Its field is (f(x), Df(x) Phi); its guard reads x only.
+    """
+    field, guard = spec.vector_field, spec.guard
+    dfield = spec.vector_field_jacobian or (lambda x: _fd.jacobian(field, x))
+
+    def augmented(z):
+        x = z[:n]
+        return np.concatenate([field(x), (dfield(x) @ z[n:].reshape(n, n)).ravel()])
+
+    return dataclasses.replace(spec, vector_field=augmented,
+                               guard=lambda z: guard(z[:n]))
+
+
+def _saltation(spec: HybridSystemSpec, pre, post) -> np.ndarray:
+    """Linearized impact: DR + (f+ - DR f-) grad(g)^T / (grad(g) . f-).
+
+    Maps a perturbation just before the impact at `pre` to one just after
+    it at `post`, accounting for the shift of the impact time.
+    """
+    dR = reset_jacobian(spec, pre)
+    grad = _fd.gradient(spec.guard, pre)
+    f_pre = np.asarray(spec.vector_field(pre), dtype=float)
+    f_post = np.asarray(spec.vector_field(post), dtype=float)
+    return dR + np.outer(f_post - dR @ f_pre, grad) / float(grad @ f_pre)
 
 
 def jacobian(
     spec: HybridSystemSpec,
     section: PoincareSection,
-    h: float = 1e-5,
     t_max: float = 20.0,
     tol: float = 1e-10,
     require_impact: bool = True,
 ) -> np.ndarray:
-    """Central finite-difference Jacobian of the return map at the anchor."""
-    k = section.chart.shape[1]
-    cols = []
-    for j in range(k):
-        hj = h * max(1.0, abs(float(section.chart[:, j] @ section.anchor)))
-        e = np.zeros(k)
-        e[j] = hj
-        try:
-            plus = return_map(spec, section, e, t_max=t_max, tol=tol,
-                              require_impact=require_impact)
-            minus = return_map(spec, section, -e, t_max=t_max, tol=tol,
-                               require_impact=require_impact)
-        except (NoReturnError, NoImpactError, TangentialCrossingError) as exc:
-            raise RuntimeError(
-                f"return map undefined under perturbation of chart direction "
-                f"{j}: {exc}") from exc
-        cols.append((plus - minus) / (2.0 * hj))
-    return np.column_stack(cols)
+    """Exact Jacobian of the return map at the anchor, in chart coordinates.
+
+    One flow of the state and its sensitivity matrix Phi (the variational
+    equations), multiplied by the saltation matrix at each impact and
+    projected along the flow onto the section at the return:
+    chart^T (I - f n^T / (n . f)) Phi chart. The field's derivative is
+    spec.vector_field_jacobian, or central differences when that is unset.
+    """
+    n = section.anchor.size
+
+    def reset(event):
+        pre = event.pre_state[:n]
+        post = apply_reset(spec, pre, event.guard_residual)
+        phi = event.pre_state[n:].reshape(n, n)
+        return np.concatenate(
+            [post, (_saltation(spec, pre, post) @ phi).ravel()])
+
+    start = np.concatenate([section.anchor, np.eye(n).ravel()])
+    try:
+        hit = _cycle(_variational_spec(spec, n), section, start, reset, t_max,
+                     tol, require_impact, MAX_CYCLES)
+        x, phi = hit[:n], hit[n:].reshape(n, n)
+        f = np.asarray(spec.vector_field(x), dtype=float)
+        rate = float(section.normal @ f)
+        if abs(rate) < TANGENT_TOL:
+            raise TangentialCrossingError(
+                f"flow crosses the section tangentially: n . f = {rate:.3e}")
+    except (NoReturnError, NoImpactError, TangentialCrossingError) as exc:
+        raise RuntimeError(f"return map not differentiable at the anchor: "
+                           f"{exc}") from exc
+    project = np.eye(n) - np.outer(f, section.normal) / rate
+    return section.chart.T @ project @ phi @ section.chart
 
 
 def eigenvalues(matrix) -> np.ndarray:

@@ -56,10 +56,9 @@ class Numerics:
     event_tol: float = 1e-10
     t_max: float = 10.0
     max_impacts: int = 10_000
-    fd_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("tol", "event_tol", "t_max", "fd_step"):
+        for name in ("tol", "event_tol", "t_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ScenarioError(f"numerics.{name} must be positive and finite")
@@ -174,8 +173,8 @@ def parse_scenario(text) -> Scenario:
             raise ScenarioError("seed must be a list of numbers") from exc
 
     num_node = _check_mapping(doc.get("numerics"),
-                              ("tol", "event_tol", "t_max", "max_impacts",
-                               "fd_step"), "numerics")
+                              ("tol", "event_tol", "t_max", "max_impacts"),
+                              "numerics")
     defaults = Numerics()
 
     def num_or_default(key, cls, fallback):
@@ -187,7 +186,6 @@ def parse_scenario(text) -> Scenario:
         event_tol=num_or_default("event_tol", float, defaults.event_tol),
         t_max=num_or_default("t_max", float, defaults.t_max),
         max_impacts=num_or_default("max_impacts", int, defaults.max_impacts),
-        fd_step=num_or_default("fd_step", float, defaults.fd_step),
     )
 
     out_node = _check_mapping(doc.get("outputs"),
@@ -215,7 +213,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "event_tol": sc.numerics.event_tol,
             "t_max": sc.numerics.t_max,
             "max_impacts": sc.numerics.max_impacts,
-            "fd_step": sc.numerics.fd_step,
         },
         "outputs": {
             "trajectory": sc.outputs.trajectory,
@@ -358,8 +355,7 @@ def _task_poincare(sc: Scenario, num: Numerics):
     pinned = dataclasses.replace(params, phi0=abs(float(impact[1])))
     pinned_spec = _with_numerics(models.slip_hybrid_spec(pinned), num)
     section = models.slip_section(seed)
-    jac = poincare.jacobian(pinned_spec, section, h=num.fd_step,
-                            t_max=num.t_max, tol=num.tol)
+    jac = poincare.jacobian(pinned_spec, section, t_max=num.t_max, tol=num.tol)
     beta = poincare.numerical_rank(poincare.reset_jacobian(pinned_spec, impact))
     report = poincare.stability_report(jac, r=2, beta=beta, n_minus_1=3)
     eigs = [{"re": v.real, "im": v.imag, "modulus": abs(v)}

@@ -4,6 +4,7 @@ Every test prints a single `ACCEPTANCE <n> <name>: PASS/FAIL` line regardless
 of capture settings, then asserts the criterion at its stated tolerance.
 """
 import csv
+import os
 import subprocess
 import sys
 import time
@@ -242,13 +243,16 @@ def test_criterion_8_eigen_solver_oracle(capsys):
 def test_criterion_9_cli_reproducibility(capsys, tmp_path):
     started = time.perf_counter()
     scenario = REPO / "scenarios" / "slip_periodic_orbit.yaml"
+    # The CLI runs from this checkout's sources, installed or not.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     reports = []
     for sub in ("a", "b"):
         out = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "routhsim.cli", "periodic_orbit",
              "--scenario", str(scenario), "--out", str(out), "--quiet"],
-            cwd=REPO, capture_output=True, text=True)
+            cwd=REPO, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         with open(out / "report.yaml") as fh:
             reports.append(yaml.safe_load(fh))

@@ -1,8 +1,10 @@
 """Bundled models: analytic fields, symmetries, resets, frozen regressions."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from routhsim import _fd
 
 import routhsim as rs
 from routhsim.certified import (
@@ -66,6 +68,22 @@ class TestAnalyticFields:
                                        - 50.0 * (0.9 - 1.0))
         assert phi_acc == pytest.approx((9.81 / 0.9) * np.sin(0.3)
                                         - 2 * 1.2 * (-0.4) / 0.9)
+
+    @settings(deadline=None)
+    @given(st.floats(0.5, 1.5), st.floats(-1.4, 1.4),
+           st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(10.0, 200.0))
+    def test_slip_field_jacobian_matches_differences(self, xi, phi, xidot,
+                                                     phidot, kappa):
+        spec = rs.slip_hybrid_spec(rs.SlipParams(kappa=kappa))
+        s = np.array([xi, phi, xidot, phidot])
+        closed = spec.vector_field_jacobian(s)
+        fd = _fd.jacobian(spec.vector_field, s)
+        np.testing.assert_allclose(closed, fd, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(closed)))
+
+    def test_feedback_spec_has_no_field_jacobian(self):
+        spec = rs.slip_hybrid_spec(rs.SlipParams(), u_feedback=lambda s: 0.0)
+        assert spec.vector_field_jacobian is None
 
     def test_actuation_enters_length_equation_only(self):
         params = rs.SlipParams(kappa=50.0, l0=1.0)

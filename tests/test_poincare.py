@@ -1,4 +1,6 @@
 """Sections, return maps, Jacobians, eigenvalues, and spectral bounds."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from routhsim.poincare import (
 )
 
 CERT = rs.CERTIFIED_SLIP
+# Touchdown angle pinned at the certified impact angle: the rank-2 reset.
+PINNED = rs.SlipParams(kappa=CERT.kappa, l0=1.0, phi0=CERT.impact_angle)
 
 
 def sawtooth():
@@ -125,7 +129,7 @@ class TestJacobian:
             [1.0, 0.0, 0.0],
             [0.0, np.cos(a), np.sin(a) / omega2],
             [0.0, -omega2 * np.sin(a), np.cos(a)]])
-        np.testing.assert_allclose(jac, expected, atol=1e-5)
+        np.testing.assert_allclose(jac, expected, atol=1e-8)
 
     def test_constant_return_map_rank_zero(self):
         # Reset to a fixed state makes the return map constant.
@@ -136,12 +140,42 @@ class TestJacobian:
         jac = jacobian(spec, sec, t_max=5.0)
         assert numerical_rank(jac) == 0
 
-    def test_step_halving_consistency(self):
-        spec = rs.slip_hybrid_spec(CERT.params)
+    def test_matches_central_differences_at_order_h2(self):
+        from oracles import central_fd_return_jacobian
+
+        spec = rs.slip_hybrid_spec(PINNED)
         sec = rs.slip_section(CERT.seed)
-        j1 = jacobian(spec, sec, h=1e-5, t_max=5.0)
-        j2 = jacobian(spec, sec, h=5e-6, t_max=5.0)
-        assert np.max(np.abs(j1 - j2)) <= 1e-4
+        exact = jacobian(spec, sec, t_max=5.0, tol=1e-12)
+        for h in (1e-5, 1e-6):
+            fd = central_fd_return_jacobian(spec, sec, h, t_max=5.0, tol=1e-12)
+            assert np.max(np.abs(exact - fd)) <= 2e6 * h ** 2
+
+    def test_finite_difference_field_jacobian_fallback(self):
+        spec = rs.slip_hybrid_spec(PINNED)
+        assert spec.vector_field_jacobian is not None
+        sec = rs.slip_section(CERT.seed)
+        closed = jacobian(spec, sec, t_max=5.0)
+        fallback = jacobian(
+            dataclasses.replace(spec, vector_field_jacobian=None), sec, t_max=5.0)
+        assert np.max(np.abs(closed - fallback)) <= 1e-6
+
+    def test_pinned_spectrum(self):
+        spec = rs.slip_hybrid_spec(PINNED)
+        moduli = np.abs(eigenvalues(jacobian(spec, rs.slip_section(CERT.seed),
+                                             t_max=5.0)))
+        np.testing.assert_allclose(moduli[:2], [1.887837, 1.0], atol=1e-6)
+        assert moduli[2] <= 1e-8
+
+    def test_tangential_return_raises(self):
+        # After the reset the flow meets the section y = 0 at the inflection
+        # of y = (x - 0.5)^3, where its normal rate vanishes.
+        spec = HybridSystemSpec(
+            vector_field=lambda s: np.array([1.0, 3.0 * (s[0] - 0.5) ** 2]),
+            guard=lambda s: float(s[0]) - 1.0,
+            reset=lambda s: np.array([0.0, -s[1]]))
+        sec = make_section([0.5, 0.0], [0.0, 1.0])
+        with pytest.raises(RuntimeError, match="tangentially"):
+            jacobian(spec, sec, t_max=5.0)
 
 
 class TestEigenvalues:

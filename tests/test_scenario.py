@@ -52,6 +52,10 @@ class TestParsing:
     def test_unknown_numerics_key_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario("model: slip\ntask: simulate\nnumerics: {dt: 0.1}\n")
+        # The exact Jacobian has no finite-difference step to set.
+        with pytest.raises(ScenarioError, match="unknown key 'fd_step'"):
+            parse_scenario("model: slip\ntask: poincare\n"
+                           "numerics: {fd_step: 1e-5}\n")
 
     def test_unknown_model_and_task_rejected(self):
         with pytest.raises(ScenarioError):
@@ -80,7 +84,7 @@ class TestParsing:
             parse_scenario("model: slip\ntask: simulate\nnumerics: {t_max: 0}\n")
         with pytest.raises(ScenarioError):
             Numerics(max_impacts=0)
-        for key in ("tol", "event_tol", "t_max", "fd_step", "max_impacts"):
+        for key in ("tol", "event_tol", "t_max", "max_impacts"):
             for bad in (".nan", ".inf"):
                 with pytest.raises(ScenarioError):
                     parse_scenario("model: slip\ntask: simulate\n"
@@ -200,6 +204,17 @@ class TestRunArtifacts:
         report = run(sc, out_dir=str(tmp_path))
         assert report.passed
         assert report.results["samples"] == 1000
+
+    def test_poincare_spectrum_exact(self, tmp_path):
+        # The pinned reset's zero multiplier comes out at rounding level, not
+        # at the size of a finite-difference error.
+        doc = yaml.safe_load(MINIMAL)
+        doc["task"] = "poincare"
+        results = run(parse_scenario(doc), out_dir=str(tmp_path)).results
+        moduli = [e["modulus"] for e in results["eigenvalues"]]
+        assert min(moduli) <= 1e-8
+        assert results["lambda0_bound_ok"] is True
+        assert results["lambda1_count"] == 1
 
     def test_task_model_mismatch_raises(self, tmp_path):
         sc = parse_scenario("model: pendulum\ntask: poincare\n")
