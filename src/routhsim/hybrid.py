@@ -124,7 +124,7 @@ class HybridTrajectory:
 
     def state_at(self, t: float) -> np.ndarray:
         """Evaluate the trajectory at time t (right-continuous at impacts)."""
-        for seg in self.segments:
+        for seg in reversed(self.segments):
             if seg.t[0] <= t <= seg.t[-1]:
                 return np.asarray(seg.dense(t), dtype=float)
         raise ValueError(f"t={t} outside [{self.t0}, {self.tf}]")

@@ -44,10 +44,10 @@ class MechanicalSystem:
 
     def cyclic_inertia(self, x) -> float:
         val = float(self.inertia_cyclic(np.asarray(x, dtype=float)))
-        if val < INERTIA_FLOOR:
+        if not (np.isfinite(val) and val >= INERTIA_FLOOR):
             raise SingularInertiaError(
-                f"cyclic inertia {val:.3e} below {INERTIA_FLOOR:g}; "
-                "the reduction is singular here")
+                f"cyclic inertia {val:.3e} is not finite or below "
+                f"{INERTIA_FLOOR:g}; the reduction is singular here")
         return val
 
 
@@ -168,6 +168,8 @@ def reconstruct_cyclic(
         raise ValueError(
             f"need a momentum value per segment: got {len(mus)} for "
             f"{len(traj.segments)} segments")
+    if not np.all(np.isfinite([theta0, *mus[:len(traj.segments)]])):
+        raise ValueError("theta0 and the momentum values must be finite")
 
     out = []
     theta = float(theta0)

@@ -17,11 +17,10 @@ from typing import Optional
 
 import numpy as np
 import yaml
-from scipy.integrate import solve_ivp
 
 from . import certified, models, poincare
 from .control import hybrid_invariance_check, periodic_orbit_on_manifold
-from .hybrid import HybridSystemSpec, run_hybrid
+from .hybrid import HybridSystemSpec, integrate_segment, run_hybrid
 from .routh import routh_vector_field, routhian_eval
 from .symmetry import (
     construct_periodic_orbit,
@@ -300,10 +299,11 @@ def _task_simulate(sc: Scenario, num: Numerics):
         sys = models.pendulum_routhian(models.PendulumParams(
             m=sc.params.get("m", 1.0), k=sc.params.get("k", 1.0),
             mu=sc.params.get("mu", 1.0)))
-        f = routh_vector_field(sys)
-        sol = solve_ivp(lambda t, y: f(y), (0.0, num.t_max), _default_seed(sc),
-                        method="RK45", rtol=num.tol, atol=num.tol)
-        return {"final_state": sol.y[:, -1]}, [], [], [(sol.t, sol.y.T)]
+        spec = HybridSystemSpec(vector_field=routh_vector_field(sys),
+                                guard=lambda s: -1.0, reset=lambda s: s)
+        seg, _ = integrate_segment(spec, _default_seed(sc), 0.0, num.t_max,
+                                   tol=num.tol)
+        return {"final_state": seg.y[-1]}, [], [], [(seg.t, seg.y)]
     if sc.model == "slip":
         spec = _with_numerics(models.slip_hybrid_spec(_slip_params(sc)), num)
     elif sc.model == "controlled_slip":

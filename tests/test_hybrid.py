@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import routhsim as rs
 from routhsim.hybrid import (
     AdmissibilityError,
     HybridSystemSpec,
@@ -232,6 +233,13 @@ class TestRunHybrid:
         assert traj.state_at(0.5)[0] == pytest.approx(0.5, abs=1e-9)
         with pytest.raises(ValueError):
             traj.state_at(10.0)
+
+    def test_state_at_impact_is_post_impact_state(self):
+        cert = rs.CERTIFIED_SLIP
+        traj = run_hybrid(rs.slip_hybrid_spec(cert.params), cert.seed, 0.0, 3.0)
+        assert traj.impacts
+        for ev in traj.impacts:
+            np.testing.assert_array_equal(traj.state_at(ev.time), ev.post_state)
 
 
 class TestSpecValidation:

@@ -64,6 +64,20 @@ class TestRouthianEval:
         with pytest.raises(SingularInertiaError):
             routhian_eval(pendulum(), [1e-6], [0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inertia_raises(self, value):
+        base = pendulum().base
+        sys = rs.RouthianSystem(
+            base=rs.MechanicalSystem(shape_dim=1, mass_shape=base.mass_shape,
+                                     inertia_cyclic=lambda x: value,
+                                     potential=base.potential),
+            mu=1.0)
+        with pytest.raises(SingularInertiaError):
+            effective_potential(sys, [1.0])
+        traj = TestReconstruction.smooth_trajectory(pendulum(), [1.2, 0.0], 1.0)
+        with pytest.raises(SingularInertiaError):
+            reconstruct_cyclic(sys, traj, theta0=0.0)
+
 
 class TestVectorField:
     def test_slip_reference_point(self):
@@ -177,6 +191,14 @@ class TestReconstruction:
                           0.0, 2.5)
         with pytest.raises(ValueError):
             reconstruct_cyclic(rs.slip_routhian(params), traj, 0.0, mus=[0.0])
+
+    @pytest.mark.parametrize("theta0, mu", [(np.nan, 1.0), (np.inf, 1.0),
+                                            (0.0, np.nan), (0.0, np.inf)])
+    def test_non_finite_theta0_or_momentum_rejected(self, theta0, mu):
+        sys = pendulum()
+        traj = self.smooth_trajectory(sys, [1.2, 0.0], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_cyclic(sys, traj, theta0=theta0, mus=[mu])
 
 
 class TestFullReduction:

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 import routhsim as rs
-from routhsim.hybrid import NoImpactError, run_hybrid
+from routhsim.hybrid import HybridSystemSpec, NoImpactError, run_hybrid
 from routhsim.symmetry import (
+    ClosureError,
     ResetMismatchError,
     ReversalSymmetry,
     construct_periodic_orbit,
@@ -171,3 +172,23 @@ class TestPeriodicOrbit:
                 assert orbit.closure_residual <= 1e-6
                 count += 1
         assert count >= 4
+
+    def test_second_half_guard_crossing(self):
+        # Harmonic oscillator from (1, 0), reversed by (q, v) -> (q, -v).
+        sym = ReversalSymmetry(F=lambda q: q)
+
+        def spec(guard):
+            return HybridSystemSpec(
+                vector_field=lambda s: np.array([s[1], -s[0]]), guard=guard,
+                reset=lambda s: np.array([s[0], -s[1]]))
+
+        # q^2 - 1/4 rises at q = -1/2 (t1 = 2 pi / 3); after the reset the
+        # second half rises through it again at q = 1/2 (t = pi < 2 t1).
+        with pytest.raises(ClosureError, match="crosses the guard"):
+            construct_periodic_orbit(spec(lambda s: s[0] ** 2 - 0.25), sym,
+                                     [1.0, 0.0], t_max=5.0)
+
+        orbit = construct_periodic_orbit(spec(lambda s: -s[0] - 0.5), sym,
+                                         [1.0, 0.0], t_max=5.0)
+        assert orbit.half_period == pytest.approx(2.0 * np.pi / 3.0, abs=1e-9)
+        assert orbit.time_symmetry_residual <= 1e-8
