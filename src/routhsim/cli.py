@@ -12,10 +12,7 @@ import sys
 
 import yaml
 
-from .hybrid import HybridError
-from .routh import SingularInertiaError
 from .scenario import TASKS, ScenarioError, parse_scenario, run
-from .symmetry import ClosureError, ResetMismatchError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,11 +87,10 @@ def main(argv=None) -> int:
 
     try:
         report = run(sc, out_dir=args.out)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (HybridError, SingularInertiaError, ClosureError,
-            ResetMismatchError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -262,17 +262,9 @@ def numerical_rank(matrix, rel_tol: float = RANK_RTOL) -> int:
     return int(np.sum(svals > rel_tol * svals[0]))
 
 
-def reset_jacobian(spec: HybridSystemSpec, state, h: float = 1e-6) -> np.ndarray:
+def reset_jacobian(spec: HybridSystemSpec, state) -> np.ndarray:
     """Central finite-difference Jacobian of the reset map at a guard state."""
-    s = as_state(state)
-    cols = []
-    for i in range(s.size):
-        hi = h * max(1.0, abs(s[i]))
-        e = np.zeros(s.size)
-        e[i] = hi
-        cols.append((as_state(spec.reset(s + e)) - as_state(spec.reset(s - e)))
-                    / (2.0 * hi))
-    return np.column_stack(cols)
+    return _fd.jacobian(lambda s: as_state(spec.reset(s)), as_state(state))
 
 
 @dataclass(frozen=True)

@@ -107,12 +107,7 @@ def _generic_field(sys: RouthianSystem):
         M = mass(x)
         grad_veff = _fd.gradient(lambda z: effective_potential(sys, z), x)
         # dM[a, b, c] = d M_ab / d x_c by central differences.
-        h = _fd.steps(x)
-        dM = np.empty((d, d, d))
-        for c in range(d):
-            e = np.zeros(d)
-            e[c] = h[c]
-            dM[:, :, c] = (mass(x + e) - mass(x - e)) / (2.0 * h[c])
+        dM = _fd.jacobian(lambda z: mass(z).ravel(), x).reshape(d, d, d)
         mdot_v = np.einsum("abc,c,b->a", dM, v, v)
         quad = 0.5 * np.einsum("bca,b,c->a", dM, v, v)
         try:

@@ -20,7 +20,7 @@ import yaml
 
 from . import certified, models, poincare
 from .control import hybrid_invariance_check, periodic_orbit_on_manifold
-from .hybrid import HybridSystemSpec, integrate_segment, run_hybrid
+from .hybrid import HybridSystemSpec, run_hybrid
 from .routh import routh_vector_field, routhian_eval
 from .symmetry import (
     construct_periodic_orbit,
@@ -72,6 +72,9 @@ class Outputs:
     stride: int = 1
 
     def __post_init__(self):
+        for name in ("trajectory", "report"):
+            if not getattr(self, name):
+                raise ScenarioError(f"outputs.{name} must be a non-empty file name")
         if self.stride < 1:
             raise ScenarioError("outputs.stride must be >= 1")
 
@@ -86,11 +89,19 @@ class Scenario:
     outputs: Outputs = Outputs()
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise ScenarioError(f"task must be one of {TASKS}, got {self.task!r}")
         for key, value in self.params.items():
             if not math.isfinite(value):
                 raise ScenarioError(f"params.{key} must be finite")
-        if self.seed is not None and not all(map(math.isfinite, self.seed)):
-            raise ScenarioError("seed must be finite")
+        if self.seed is not None:
+            names = _STATE_NAMES[self.model]
+            if len(self.seed) != len(names):
+                raise ScenarioError(
+                    f"seed must have {len(names)} entries ({', '.join(names)}) "
+                    f"for the {self.model} model, got {len(self.seed)}")
+            if not all(map(math.isfinite, self.seed)):
+                raise ScenarioError("seed must be finite")
 
 
 @dataclass(frozen=True)
@@ -126,14 +137,20 @@ def _check_mapping(node, allowed, context) -> dict:
     return node
 
 
-def _pick(node: dict, key, cls, context):
-    if key not in node or node[key] is None:
-        return None
-    val = node[key]
-    try:
-        return cls(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{context}.{key}: {exc}") from exc
+def _settings(cls, node, context):
+    """`cls` built from a scenario mapping: its fields give the allowed keys,
+    the casts and the defaults; an absent or null key keeps the default."""
+    fields = dataclasses.fields(cls)
+    node = _check_mapping(node, [f.name for f in fields], context)
+    values = {}
+    for f in fields:
+        if node.get(f.name) is None:
+            continue
+        try:
+            values[f.name] = type(f.default)(node[f.name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{context}.{f.name}: {exc}") from exc
+    return cls(**values)
 
 
 def parse_scenario(text) -> Scenario:
@@ -147,9 +164,6 @@ def parse_scenario(text) -> Scenario:
     model = doc.get("model")
     if model not in MODELS:
         raise ScenarioError(f"model must be one of {MODELS}, got {model!r}")
-    task = doc.get("task")
-    if task not in TASKS:
-        raise ScenarioError(f"task must be one of {TASKS}, got {task!r}")
 
     raw_params = _check_mapping(doc.get("params"), _PARAM_KEYS[model],
                                 f"params ({model})")
@@ -171,33 +185,9 @@ def parse_scenario(text) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError("seed must be a list of numbers") from exc
 
-    num_node = _check_mapping(doc.get("numerics"),
-                              ("tol", "event_tol", "t_max", "max_impacts"),
-                              "numerics")
-    defaults = Numerics()
-
-    def num_or_default(key, cls, fallback):
-        val = _pick(num_node, key, cls, "numerics")
-        return fallback if val is None else val
-
-    numerics = Numerics(
-        tol=num_or_default("tol", float, defaults.tol),
-        event_tol=num_or_default("event_tol", float, defaults.event_tol),
-        t_max=num_or_default("t_max", float, defaults.t_max),
-        max_impacts=num_or_default("max_impacts", int, defaults.max_impacts),
-    )
-
-    out_node = _check_mapping(doc.get("outputs"),
-                              ("trajectory", "report", "stride"), "outputs")
-    out_defaults = Outputs()
-    stride = _pick(out_node, "stride", int, "outputs")
-    outputs = Outputs(
-        trajectory=str(out_node.get("trajectory") or out_defaults.trajectory),
-        report=str(out_node.get("report") or out_defaults.report),
-        stride=out_defaults.stride if stride is None else stride,
-    )
-    return Scenario(model=model, task=task, params=params, seed=seed,
-                    numerics=numerics, outputs=outputs)
+    return Scenario(model=model, task=doc.get("task"), params=params, seed=seed,
+                    numerics=_settings(Numerics, doc.get("numerics"), "numerics"),
+                    outputs=_settings(Outputs, doc.get("outputs"), "outputs"))
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -207,17 +197,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "task": sc.task,
         "params": {k: float(v) for k, v in sorted(sc.params.items())},
         "seed": None if sc.seed is None else [float(v) for v in sc.seed],
-        "numerics": {
-            "tol": sc.numerics.tol,
-            "event_tol": sc.numerics.event_tol,
-            "t_max": sc.numerics.t_max,
-            "max_impacts": sc.numerics.max_impacts,
-        },
-        "outputs": {
-            "trajectory": sc.outputs.trajectory,
-            "report": sc.outputs.report,
-            "stride": sc.outputs.stride,
-        },
+        "numerics": dataclasses.asdict(sc.numerics),
+        "outputs": dataclasses.asdict(sc.outputs),
     }
 
 
@@ -247,27 +228,49 @@ def _default_seed(sc: Scenario) -> np.ndarray:
     return certified.CERTIFIED_CONTROLLED.seed
 
 
-def _with_numerics(spec: HybridSystemSpec, num: Numerics) -> HybridSystemSpec:
-    return dataclasses.replace(spec, max_impacts=num.max_impacts,
-                               event_tol=num.event_tol)
+def _spec(sc: Scenario) -> HybridSystemSpec:
+    """The model's hybrid system with the scenario's event settings.
+
+    The pendulum has no impacts: its guard never fires and its reset is the
+    identity.
+    """
+    if sc.model == "pendulum":
+        sys = models.pendulum_routhian(models.PendulumParams(**sc.params))
+        spec = HybridSystemSpec(vector_field=routh_vector_field(sys),
+                                guard=lambda s: -1.0, reset=lambda s: s)
+    elif sc.model == "slip":
+        spec = models.slip_hybrid_spec(_slip_params(sc))
+    else:
+        spec = models.closed_loop_slip_spec(*_controlled(sc))
+    return dataclasses.replace(spec, max_impacts=sc.numerics.max_impacts,
+                               event_tol=sc.numerics.event_tol)
+
+
+def _orbit(sc: Scenario):
+    """The symmetric periodic orbit from the scenario's seed."""
+    num, sym, seed = sc.numerics, models.slip_symmetry(), _default_seed(sc)
+    if sc.model == "slip":
+        return construct_periodic_orbit(_spec(sc), sym, seed, num.t_max,
+                                        tol=num.tol)
+    if sc.model == "controlled_slip":
+        manifold = models.quadratic_constraint(_controlled(sc)[1])
+        return periodic_orbit_on_manifold(_spec(sc), sym, manifold, seed,
+                                          num.t_max, tol=num.tol)
+    raise ScenarioError(f"{sc.task} requires the slip or controlled_slip model")
 
 
 def write_trajectory_csv(path, names, segments, stride: int = 1):
     """One row per retained sample; segment index marks the smooth arc."""
     with open(path, "w", newline="\n") as fh:
         fh.write("t," + ",".join(names) + ",segment\n")
-        for idx, (ts, ys) in enumerate(segments):
-            keep = list(range(0, len(ts), stride))
-            if keep[-1] != len(ts) - 1:
-                keep.append(len(ts) - 1)
+        for idx, seg in enumerate(segments):
+            keep = list(range(0, len(seg.t), stride))
+            if keep[-1] != len(seg.t) - 1:
+                keep.append(len(seg.t) - 1)
             for i in keep:
-                row = [FLOAT_FMT % ts[i]]
-                row += [FLOAT_FMT % v for v in np.atleast_1d(ys[i])]
+                row = [FLOAT_FMT % seg.t[i]]
+                row += [FLOAT_FMT % v for v in np.atleast_1d(seg.y[i])]
                 fh.write(",".join(row) + f",{idx}\n")
-
-
-def _hybrid_segments(traj):
-    return [(seg.t, seg.y) for seg in traj.segments]
 
 
 def _plain(value):
@@ -294,68 +297,39 @@ def _check(name, residual, tolerance) -> dict:
             "residual": float(residual), "tolerance": float(tolerance)}
 
 
-def _task_simulate(sc: Scenario, num: Numerics):
-    if sc.model == "pendulum":
-        sys = models.pendulum_routhian(models.PendulumParams(
-            m=sc.params.get("m", 1.0), k=sc.params.get("k", 1.0),
-            mu=sc.params.get("mu", 1.0)))
-        spec = HybridSystemSpec(vector_field=routh_vector_field(sys),
-                                guard=lambda s: -1.0, reset=lambda s: s)
-        seg, _ = integrate_segment(spec, _default_seed(sc), 0.0, num.t_max,
-                                   tol=num.tol)
-        return {"final_state": seg.y[-1]}, [], [], [(seg.t, seg.y)]
-    if sc.model == "slip":
-        spec = _with_numerics(models.slip_hybrid_spec(_slip_params(sc)), num)
-    elif sc.model == "controlled_slip":
-        params, coeffs = _controlled(sc)
-        spec = _with_numerics(models.closed_loop_slip_spec(params, coeffs), num)
-    else:
-        raise ScenarioError("simulate supports the bundled models only")
-    traj = run_hybrid(spec, _default_seed(sc), 0.0, num.t_max, tol=num.tol)
-    times = [ev.time for ev in traj.impacts]
-    return ({"impact_count": len(times), "final_state": traj.segments[-1].y[-1]},
-            [], times, _hybrid_segments(traj))
+# Each task returns (results, checks, trajectory or None); `run` builds the
+# report's impact times and the trajectory CSV from that trajectory.
+
+def _task_simulate(sc: Scenario):
+    traj = run_hybrid(_spec(sc), _default_seed(sc), 0.0, sc.numerics.t_max,
+                      tol=sc.numerics.tol)
+    return ({"impact_count": len(traj.impacts),
+             "final_state": traj.segments[-1].y[-1]}, [], traj)
 
 
-def _task_periodic_orbit(sc: Scenario, num: Numerics):
-    sym = models.slip_symmetry()
-    seed = _default_seed(sc)
-    if sc.model == "slip":
-        spec = _with_numerics(models.slip_hybrid_spec(_slip_params(sc)), num)
-        orbit = construct_periodic_orbit(spec, sym, seed, num.t_max, tol=num.tol)
-    elif sc.model == "controlled_slip":
-        params, coeffs = _controlled(sc)
-        spec = _with_numerics(models.closed_loop_slip_spec(params, coeffs), num)
-        orbit = periodic_orbit_on_manifold(
-            spec, sym, models.quadratic_constraint(coeffs), seed, num.t_max,
-            tol=num.tol)
-    else:
-        raise ScenarioError("periodic_orbit requires the slip or controlled_slip model")
+def _task_periodic_orbit(sc: Scenario):
+    orbit = _orbit(sc)
     results = {"seed": orbit.seed, "half_period": orbit.half_period,
                "closure_residual": orbit.closure_residual,
                "time_symmetry_residual": orbit.time_symmetry_residual}
     checks = [_check("closure", orbit.closure_residual, 1e-6),
               _check("time_symmetry", orbit.time_symmetry_residual, 1e-6)]
-    times = [ev.time for ev in orbit.trajectory.impacts]
-    return results, checks, times, _hybrid_segments(orbit.trajectory)
+    return results, checks, orbit.trajectory
 
 
-def _task_poincare(sc: Scenario, num: Numerics):
+def _task_poincare(sc: Scenario):
     if sc.model != "slip":
         raise ScenarioError("poincare requires the slip model")
-    sym = models.slip_symmetry()
-    seed = _default_seed(sc)
-    params = _slip_params(sc)
-    spec = _with_numerics(models.slip_hybrid_spec(params), num)
-    orbit = construct_periodic_orbit(spec, sym, seed, num.t_max, tol=num.tol)
+    orbit = _orbit(sc)
     impact = orbit.trajectory.impacts[0].pre_state
 
     # Stability model: touchdown angle pinned at the certified impact angle,
     # which is the convention in which the reset loses rank.
-    pinned = dataclasses.replace(params, phi0=abs(float(impact[1])))
-    pinned_spec = _with_numerics(models.slip_hybrid_spec(pinned), num)
-    section = models.slip_section(seed)
-    jac = poincare.jacobian(pinned_spec, section, t_max=num.t_max, tol=num.tol)
+    pinned_spec = _spec(dataclasses.replace(
+        sc, params={**sc.params, "phi0": abs(float(impact[1]))}))
+    section = models.slip_section(_default_seed(sc))
+    jac = poincare.jacobian(pinned_spec, section, t_max=sc.numerics.t_max,
+                            tol=sc.numerics.tol)
     beta = poincare.numerical_rank(poincare.reset_jacobian(pinned_spec, impact))
     report = poincare.stability_report(jac, r=2, beta=beta, n_minus_1=3)
     eigs = [{"re": v.real, "im": v.imag, "modulus": abs(v)}
@@ -369,19 +343,15 @@ def _task_poincare(sc: Scenario, num: Numerics):
                "lambda1_bound_ok": report.lambda1_bound_ok,
                "reset_rank": beta,
                "classification": report.classification}
-    times = [ev.time for ev in orbit.trajectory.impacts]
-    return results, [], times, _hybrid_segments(orbit.trajectory)
+    return results, [], orbit.trajectory
 
 
-def _task_zero_dynamics(sc: Scenario, num: Numerics):
+def _task_zero_dynamics(sc: Scenario):
     if sc.model != "controlled_slip":
         raise ScenarioError("zero_dynamics requires the controlled_slip model")
     params, coeffs = _controlled(sc)
     manifold = models.quadratic_constraint(coeffs)
-    sym = models.slip_symmetry()
-    spec = _with_numerics(models.closed_loop_slip_spec(params, coeffs), num)
-    orbit = periodic_orbit_on_manifold(spec, sym, manifold, _default_seed(sc),
-                                       num.t_max, tol=num.tol)
+    orbit = _orbit(sc)
 
     rng = np.random.default_rng(0)
     evenness = max(abs(models.feedback_u_star(manifold, params, phi, pd)
@@ -404,24 +374,19 @@ def _task_zero_dynamics(sc: Scenario, num: Numerics):
               {"name": "hybrid_invariance", "passed": bool(invariant),
                "residual": 0.0 if invariant else float("nan"),
                "tolerance": 1e-9}]
-    times = [ev.time for ev in orbit.trajectory.impacts]
-    return results, checks, times, _hybrid_segments(orbit.trajectory)
+    return results, checks, orbit.trajectory
 
 
-def _task_check_suite(sc: Scenario, num: Numerics):
+def _task_check_suite(sc: Scenario):
     if sc.model not in ("slip", "pendulum"):
         raise ScenarioError("check_suite requires the slip or pendulum model")
     rng = np.random.default_rng(0)
     if sc.model == "slip":
-        params = _slip_params(sc)
-        sys = models.slip_routhian(params)
+        sys = models.slip_routhian(_slip_params(sc))
         sym = models.slip_symmetry()
         lo, hi = [0.5, -1.3, -2.0, -3.0], [1.5, 1.3, 2.0, 3.0]
     else:
-        p = models.PendulumParams(m=sc.params.get("m", 1.0),
-                                  k=sc.params.get("k", 1.0),
-                                  mu=sc.params.get("mu", 1.0))
-        sys = models.pendulum_routhian(p)
+        sys = models.pendulum_routhian(models.PendulumParams(**sc.params))
         sym = models.pendulum_symmetry()
         lo, hi = [0.5, -2.0], [2.0, 2.0]
     f = routh_vector_field(sys)
@@ -439,7 +404,7 @@ def _task_check_suite(sc: Scenario, num: Numerics):
     results = {"samples": 1000, "involution_residual": inv,
                "reversibility_residual": rev,
                "routhian_invariance_residual": routh}
-    return results, checks, [], []
+    return results, checks, None
 
 
 _TASKS = {
@@ -456,17 +421,18 @@ def run(sc: Scenario, out_dir=".") -> RunReport:
     import os
 
     started = time.perf_counter()
-    results, checks, impact_times, segments = _TASKS[sc.task](sc, sc.numerics)
+    results, checks, traj = _TASKS[sc.task](sc)
     wall = time.perf_counter() - started
 
     os.makedirs(out_dir, exist_ok=True)
-    if segments:
-        names = _STATE_NAMES[sc.model]
+    if traj is not None:
         write_trajectory_csv(os.path.join(out_dir, sc.outputs.trajectory),
-                             names, segments, stride=sc.outputs.stride)
+                             _STATE_NAMES[sc.model], traj.segments,
+                             stride=sc.outputs.stride)
     report = RunReport(scenario=scenario_to_dict(sc), task=sc.task,
                        results=_plain(results), checks=_plain(checks),
-                       impact_times=[float(t) for t in impact_times],
+                       impact_times=[] if traj is None else
+                       [float(ev.time) for ev in traj.impacts],
                        wall_seconds=float(wall))
     with open(os.path.join(out_dir, sc.outputs.report), "w", newline="\n") as fh:
         yaml.safe_dump(report.as_dict(), fh, sort_keys=False)

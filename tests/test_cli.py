@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from routhsim.cli import (
     EXIT_OK,
     main,
 )
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
+                   .glob("*.yaml"))
 
 ORBIT_DOC = """
 model: slip
@@ -55,6 +59,11 @@ class TestInputErrors:
         code = main(["periodic_orbit", "--scenario", str(orbit_scenario),
                      "--out", str(tmp_path), "--seed-override", "0.8,0,0,nan"])
         assert code == EXIT_INPUT_ERROR
+        for bad in ("0.8,0.5", "0.8,0.0,0.5", "0.8,0,0,0.5,0"):
+            code = main(["periodic_orbit", "--scenario", str(orbit_scenario),
+                         "--out", str(tmp_path), "--seed-override", bad])
+            assert code == EXIT_INPUT_ERROR, bad
+            assert "seed must have 4 entries" in capsys.readouterr().err
 
     def test_non_finite_numerics(self, tmp_path, capsys):
         path = tmp_path / "nan.yaml"
@@ -63,6 +72,22 @@ class TestInputErrors:
                      "--out", str(tmp_path)])
         assert code == EXIT_INPUT_ERROR
         assert "numerics.t_max" in capsys.readouterr().err
+
+    def test_out_is_an_existing_file(self, orbit_scenario, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["periodic_orbit", "--scenario", str(orbit_scenario),
+                     "--out", str(taken), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "nodir.yaml"
+        path.write_text(ORBIT_DOC + "outputs: {report: nodir/r.yaml}\n")
+        code = main(["periodic_orbit", "--scenario", str(path),
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestNumericalErrors:
@@ -99,12 +124,12 @@ class TestSuccessPath:
         assert payload["task"] == "periodic_orbit"
         assert len(payload["impact_times"]) >= 1
 
-    def test_committed_scenarios_run(self, tmp_path, capsys):
-        for name, task in (("slip_periodic_orbit.yaml", "periodic_orbit"),
-                           ("slip_check_suite.yaml", "check_suite")):
-            code = main([task, "--scenario", f"scenarios/{name}",
-                         "--out", str(tmp_path / task), "--quiet"])
-            assert code == EXIT_OK, name
+    @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+    def test_committed_scenarios_run(self, path, tmp_path, capsys):
+        task = yaml.safe_load(path.read_text())["task"]
+        code = main([task, "--scenario", str(path),
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_OK
 
     def test_seed_override_changes_orbit(self, orbit_scenario, tmp_path, capsys):
         code = main(["periodic_orbit", "--scenario", str(orbit_scenario),

@@ -1,5 +1,6 @@
 """Scenario parsing, defaulting, round-tripping, and run artifacts."""
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import yaml
 
 import routhsim as rs
 from routhsim.scenario import (
+    TASKS,
     Numerics,
     Outputs,
     ScenarioError,
@@ -14,6 +16,9 @@ from routhsim.scenario import (
     run,
     scenario_to_dict,
 )
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
+                   .glob("*.yaml"))
 
 MINIMAL = """
 model: slip
@@ -76,6 +81,11 @@ class TestParsing:
             with pytest.raises(ScenarioError):
                 parse_scenario("model: slip\ntask: simulate\n"
                                f"seed: [0.8, 0.0, 0.0, {bad}]\n")
+        # One entry per state coordinate, or the run would fail mid-flow.
+        for model, seed in (("slip", "[0.8, 0.5]"), ("slip", "[0.8, 0.0, 0.5]"),
+                            ("pendulum", "[1.2, 0, 0, 0]")):
+            with pytest.raises(ScenarioError, match="seed must have"):
+                parse_scenario(f"model: {model}\ntask: simulate\nseed: {seed}\n")
 
     def test_nonpositive_numerics_rejected(self):
         with pytest.raises(ScenarioError):
@@ -93,6 +103,12 @@ class TestParsing:
     def test_bad_stride_rejected(self):
         with pytest.raises(ScenarioError):
             Outputs(stride=0)
+
+    def test_empty_output_name_rejected(self):
+        for key in ("trajectory", "report"):
+            with pytest.raises(ScenarioError, match=f"outputs.{key}"):
+                parse_scenario("model: slip\ntask: simulate\n"
+                               f"outputs: {{{key}: ''}}\n")
 
     def test_non_numeric_param_rejected(self):
         with pytest.raises(ScenarioError):
@@ -118,6 +134,20 @@ class TestRoundTrip:
         sc = parse_scenario(MINIMAL)
         text = yaml.safe_dump(scenario_to_dict(sc))
         assert parse_scenario(text).numerics.t_max == 5.0
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+    def test_report_echo_reparses_for_every_task(self, path, tmp_path):
+        sc = parse_scenario(path.read_text())
+        run(sc, out_dir=str(tmp_path))
+        with open(tmp_path / sc.outputs.report) as fh:
+            echoed = yaml.safe_load(fh)["scenario"]
+        again = parse_scenario(echoed)
+        assert again == sc
+        assert scenario_to_dict(again) == echoed
+
+    def test_committed_scenarios_cover_every_task(self):
+        tasks = {yaml.safe_load(p.read_text())["task"] for p in SCENARIOS}
+        assert tasks == set(TASKS)
 
 
 @pytest.fixture(scope="module")
