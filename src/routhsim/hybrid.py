@@ -1,20 +1,24 @@
 """Execution engine for simple hybrid systems.
 
-Integrates a smooth vector field with an adaptive RK5(4) scheme and scans
-each accepted step on its dense output as it goes, stopping at the first
-directional guard crossing. This is the one place where crossings are found:
-the same scan also reports the first crossing of a watched function, which
-the Poincare return map uses for its section. Event times are refined by
-bracketing root-finding; the module then applies the reset map and enforces
-anti-Zeno and post-reset admissibility conditions.
+Integrates a smooth vector field with the adaptive eighth-order DOP853
+scheme and scans each accepted step on its dense output as it goes, stopping
+at the first directional guard crossing. This is the one place where
+crossings are found: the same scan also reports the first crossing of a
+watched function, which the Poincare return map uses for its section. The
+scan finds every crossing of an event that is affine in the state, however
+long the step (see `_critical_points`); for a nonlinear guard that coverage
+is a heuristic. Event times are refined by bracketing root-finding; the
+module then applies the reset map and enforces anti-Zeno and post-reset
+admissibility conditions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
+from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 from . import _fd
@@ -23,6 +27,17 @@ EVENT_TOL = 1e-10
 TANGENT_TOL = 1e-8
 DEFAULT_TOL = 1e-10
 _SUBSTEPS = 8  # samples per accepted step when scanning for sign changes
+
+# A degree-7 polynomial in tau in [0, 1] (DOP853's dense output on one step)
+# fitted to the step's _SUBSTEPS + 1 equispaced samples, as monomial
+# coefficients, and the map from those to Bernstein coefficients, whose
+# range encloses the polynomial's on [0, 1].
+_DEGREE = 7
+_FIT = np.linalg.pinv(np.vander(np.linspace(0.0, 1.0, _SUBSTEPS + 1),
+                                _DEGREE + 1, increasing=True))
+_BERNSTEIN = np.array([[math.comb(j, i) / math.comb(_DEGREE, i)
+                        for i in range(_DEGREE + 1)]
+                       for j in range(_DEGREE + 1)])
 
 RISING = "rising"
 FALLING = "falling"
@@ -146,6 +161,41 @@ def _first_crossing(direction: str, g: np.ndarray, start: int):
     return None if idx.size == 0 else start + int(idx[0])
 
 
+def _critical_points(f: np.ndarray) -> np.ndarray:
+    """Interior critical points, tau in (0, 1), of the degree-7 fit to f.
+
+    f holds an event function's _SUBSTEPS + 1 equispaced samples on one
+    step. None are returned when the fit's Bernstein coefficients are all
+    of one strict sign (the fit has no zero on the step), or when a sample
+    is not finite (the sign test then sees only the samples). For an event
+    affine in the state the fit is the event along DOP853's degree-7 dense
+    output, so between these points and the samples the event is monotone
+    and a sign test on them misses no crossing. For a nonlinear event this
+    is a heuristic.
+    """
+    c = _FIT @ f
+    b = _BERNSTEIN @ c
+    if not np.all(np.isfinite(b)) or np.all(b > 0.0) or np.all(b < 0.0):
+        return c[:0]
+    roots = np.polynomial.polynomial.polyroots(c[1:] * np.arange(1, _DEGREE + 1))
+    # A double root can come back as a complex pair split by rounding.
+    tau = roots.real[np.abs(roots.imag) <= 1e-9]
+    return tau[(tau > 0.0) & (tau < 1.0)]
+
+
+def _samples(fn, dense, grid: np.ndarray, f0: float, states: np.ndarray):
+    """fn on one step's grid (f0 at grid[0], states at the rest) and on the
+    interior critical points of its fit: the merged, sorted times and values."""
+    f = np.array([f0] + [float(fn(s)) for s in states])
+    extra = grid[0] + (grid[-1] - grid[0]) * _critical_points(f)
+    if extra.size == 0:
+        return grid, f
+    t = np.concatenate([grid, extra])
+    f = np.concatenate([f, [float(fn(s)) for s in dense(extra).T]])
+    order = np.argsort(t, kind="stable")
+    return t[order], f[order]
+
+
 def _root(fn, dense, t_lo: float, t_hi: float, f_hi: float) -> float:
     """Time in [t_lo, t_hi] at which fn vanishes along the dense output."""
     if f_hi == 0.0:
@@ -156,11 +206,15 @@ def _root(fn, dense, t_lo: float, t_hi: float, f_hi: float) -> float:
 
 def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
           tol: float, watch=None):
-    """Step RK45 from `start` and stop at the first wanted crossing.
+    """Step DOP853 from `start` and stop at the first wanted crossing.
 
     Each accepted step is sampled at _SUBSTEPS + 1 points of its dense
-    output, so a pair of crossings inside one step is still seen. The flow
-    stops at the first step that holds a wanted guard crossing or, with
+    output; where the degree-7 fit to an event's samples may vanish on the
+    step, the event is also sampled at the fit's interior critical points
+    (`_critical_points`). A pair of crossings inside one step is then still
+    seen: for an event affine in the state this holds whatever the step
+    length, for a nonlinear guard it is a heuristic. The flow stops at the
+    first step that holds a wanted guard crossing or, with
     watch = (fn, direction, t_min), a wanted sign change of fn on a sample
     pair starting at or after t_min. Returns (Segment, ImpactEvent or None,
     watch hit as (time, state) or None); a watch hit later than the impact
@@ -172,8 +226,8 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
     if t_max <= t_start:
         raise ValueError("t_max must exceed t_start")
 
-    solver = RK45(lambda t, y: np.asarray(spec.vector_field(y), dtype=float),
-                  float(t_start), y0, float(t_max), rtol=tol, atol=tol)
+    solver = DOP853(lambda t, y: np.asarray(spec.vector_field(y), dtype=float),
+                    float(t_start), y0, float(t_max), rtol=tol, atol=tol)
     ts, ys, steps = [float(t_start)], [y0], []
     g_prev = float(spec.guard(y0))
     # A segment that starts on the guard (post-reset case) skips its leading
@@ -192,7 +246,7 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         ys.append(solver.y)
         grid = np.linspace(solver.t_old, solver.t, _SUBSTEPS + 1)
         states = steps[-1](grid[1:]).T
-        g = np.array([g_prev] + [float(spec.guard(s)) for s in states])
+        tg, g = _samples(spec.guard, steps[-1], grid, g_prev, states)
         g_prev = g[-1]
         first = 0
         if on_guard:
@@ -202,15 +256,15 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         i = _first_crossing(spec.guard_direction, g, first)
         j = None
         if watch is not None:
-            w = np.array([w_prev] + [float(fn(s)) for s in states])
+            tw, w = _samples(fn, steps[-1], grid, w_prev, states)
             w_prev = w[-1]
-            j = _first_crossing(w_direction, w, int(np.searchsorted(grid, t_min)))
+            j = _first_crossing(w_direction, w, int(np.searchsorted(tw, t_min)))
         if i is None and j is None:
             continue
 
         dense = OdeSolution(ts, steps)
         if i is not None:
-            t_event = _root(spec.guard, dense, grid[i], grid[i + 1], g[i + 1])
+            t_event = _root(spec.guard, dense, tg[i], tg[i + 1], g[i + 1])
             pre = np.asarray(dense(t_event), dtype=float)
             residual = abs(float(spec.guard(pre)))
             if residual > spec.event_tol:
@@ -224,8 +278,8 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
                     "tangential crossing is not resolvable")
             event = ImpactEvent(time=t_event, pre_state=pre, post_state=None,
                                 guard_residual=residual)
-        if j is not None and (i is None or j <= i):
-            t_hit = _root(fn, dense, grid[j], grid[j + 1], w[j + 1])
+        if j is not None and (event is None or tw[j] <= event.time):
+            t_hit = _root(fn, dense, tw[j], tw[j + 1], w[j + 1])
             if event is None or t_hit <= event.time:
                 hit = (t_hit, np.asarray(dense(t_hit), dtype=float))
 

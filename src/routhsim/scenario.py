@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -137,6 +138,20 @@ def _check_mapping(node, allowed, context) -> dict:
     return node
 
 
+def _number(kind, value, name):
+    """`value` as a `kind` (float or int), cast only from a number: a bool or
+    a string is rejected, and an int takes only an integral value."""
+    if isinstance(value, (bool, str)) or not isinstance(value, numbers.Real):
+        hint = ""
+        if isinstance(value, str):
+            # YAML 1.1 reads an exponent without a dot, such as 1e-10, as text.
+            hint = " (write numbers unquoted, with a dot before any exponent: 1.0e-10)"
+        raise ScenarioError(f"{name} must be a number, got {value!r}{hint}")
+    if kind is int and not float(value).is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def _settings(cls, node, context):
     """`cls` built from a scenario mapping: its fields give the allowed keys,
     the casts and the defaults; an absent or null key keeps the default."""
@@ -144,12 +159,10 @@ def _settings(cls, node, context):
     node = _check_mapping(node, [f.name for f in fields], context)
     values = {}
     for f in fields:
-        if node.get(f.name) is None:
-            continue
-        try:
-            values[f.name] = type(f.default)(node[f.name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{context}.{f.name}: {exc}") from exc
+        value, kind = node.get(f.name), type(f.default)
+        if value is not None:
+            values[f.name] = (str(value) if kind is str
+                              else _number(kind, value, f"{context}.{f.name}"))
     return cls(**values)
 
 
@@ -167,23 +180,14 @@ def parse_scenario(text) -> Scenario:
 
     raw_params = _check_mapping(doc.get("params"), _PARAM_KEYS[model],
                                 f"params ({model})")
-    params = {}
-    for key, value in raw_params.items():
-        if value is None:
-            continue
-        try:
-            params[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"params.{key} must be a number") from exc
+    params = {key: _number(float, value, f"params.{key}")
+              for key, value in raw_params.items() if value is not None}
 
     seed = doc.get("seed")
     if seed is not None:
         if not isinstance(seed, (list, tuple)):
             raise ScenarioError("seed must be a list of numbers")
-        try:
-            seed = tuple(float(v) for v in seed)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError("seed must be a list of numbers") from exc
+        seed = tuple(_number(float, v, f"seed[{i}]") for i, v in enumerate(seed))
 
     return Scenario(model=model, task=doc.get("task"), params=params, seed=seed,
                     numerics=_settings(Numerics, doc.get("numerics"), "numerics"),

@@ -73,6 +73,16 @@ class TestInputErrors:
         assert code == EXIT_INPUT_ERROR
         assert "numerics.t_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["{t_max: '5'}", "{t_max: true}",
+                                     "{t_max: 5.0, max_impacts: 1.9}"])
+    def test_non_number_numerics(self, tmp_path, capsys, bad):
+        path = tmp_path / "cast.yaml"
+        path.write_text(ORBIT_DOC.replace("{t_max: 5.0}", bad))
+        code = main(["periodic_orbit", "--scenario", str(path),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "numerics." in capsys.readouterr().err
+
     def test_out_is_an_existing_file(self, orbit_scenario, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -1,4 +1,6 @@
 """Hybrid execution engine: events, resets, anti-Zeno and admissibility."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from routhsim.hybrid import (
     ZenoError,
     as_state,
     apply_reset,
+    _SUBSTEPS,
     integrate_segment,
     run_hybrid,
 )
@@ -134,6 +137,67 @@ class TestCrossingProperties:
         assert fine.time == pytest.approx(np.arcsin(1.0 - eps), abs=1e-8)
 
     @settings(deadline=None)
+    @given(st.floats(-9.0, -6.0))
+    def test_deep_near_grazing_crossing_found(self, log_eps):
+        # Here the crossing pair spans at most 2 sqrt(2e-6) ~ 2.8e-3, well
+        # inside one sample interval of an eighth-order step: only the
+        # critical points of the step's fit bring a sample between them.
+        eps = 10.0 ** log_eps
+        spec = harmonic(level=1.0 - eps, direction="rising")
+        _, event = integrate_segment(spec, [0.0, 1.0], 0.0, 3.0)
+        assert event is not None
+        assert abs(np.sin(event.time) - (1.0 - eps)) <= 1e-9
+        # A state error d moves the time by d / sqrt(2 eps): at tol 1e-12
+        # d ~ 3e-12 gives 7e-8 at eps = 1e-9, so read the time at 1e-13.
+        _, fine = integrate_segment(spec, [0.0, 1.0], 0.0, 3.0, tol=1e-13)
+        assert fine.time == pytest.approx(np.arcsin(1.0 - eps), abs=1e-8)
+
+    @settings(deadline=None)
+    @given(st.floats(0.2, 3.0), st.sampled_from([1e-3, 1e-4, 1e-5]))
+    def test_two_crossings_inside_one_sample_interval(self, a, gap):
+        # x = (t - a)(t - b) dips below the guard x = 0 only on [a, b], a
+        # window far shorter than a sample interval of the (long) steps
+        # this quadratic flow allows.
+        b = a + gap
+        spec = HybridSystemSpec(
+            vector_field=lambda s: np.array([2.0 * s[1] - (a + b), 1.0]),
+            guard=lambda s: float(s[0]),
+            reset=lambda s: np.array(s),
+            guard_direction="falling",
+        )
+        _, event = integrate_segment(spec, [a * b, 0.0], 0.0, 4.0)
+        assert event is not None
+        assert event.time == pytest.approx(a, abs=1e-8)
+
+    def test_step_far_from_guard_makes_substeps_guard_calls(self):
+        # The Bernstein bound of every step excludes zero, so each step
+        # evaluates the guard at its _SUBSTEPS new samples and nowhere else.
+        calls = []
+
+        def guard(s):
+            calls.append(1)
+            return float(s[0]) - 10.0
+
+        spec = HybridSystemSpec(vector_field=lambda s: np.array([s[1], -s[0]]),
+                                guard=guard, reset=lambda s: np.array(s))
+        segment, event = integrate_segment(spec, [1.0, 0.0], 0.0, 5.0)
+        assert event is None
+        steps = segment.t.size - 1
+        assert steps > 1
+        assert len(calls) == 1 + _SUBSTEPS * steps
+
+    def test_guard_undefined_before_crossing(self):
+        # A guard that is NaN on part of the flow: those samples take no
+        # part in the sign test, and the fit is not rooted through them.
+        spec = HybridSystemSpec(
+            vector_field=lambda s: np.array([1.0, 0.0]),
+            guard=lambda s: np.sqrt(s[0] - 0.5) - 1.0 if s[0] >= 0.5 else np.nan,
+            reset=lambda s: np.array(s),
+        )
+        _, event = integrate_segment(spec, [0.0, 0.0], 0.0, 5.0)
+        assert event.time == pytest.approx(1.5, abs=1e-9)
+
+    @settings(deadline=None)
     @given(st.floats(0.01, 0.99), st.floats(2.0, 10.0))
     def test_horizon_does_not_move_event(self, level, t_max):
         spec = harmonic(level=level, direction="rising")
@@ -240,6 +304,26 @@ class TestRunHybrid:
         assert traj.impacts
         for ev in traj.impacts:
             np.testing.assert_array_equal(traj.state_at(ev.time), ev.post_state)
+
+
+class TestCertifiedSegment:
+    # The certified gait's half period from solve_ivp with Radau and with
+    # DOP853 at rtol 1e-13 (the two agree to 4e-15).
+    HALF_PERIOD = 0.84671975120793
+
+    def test_cost_and_accuracy(self):
+        cert = rs.CERTIFIED_SLIP
+        spec = rs.slip_hybrid_spec(cert.params)
+        calls = []
+
+        def field(s):
+            calls.append(1)
+            return spec.vector_field(s)
+
+        counted = dataclasses.replace(spec, vector_field=field)
+        _, event = integrate_segment(counted, cert.seed, 0.0, 5.0, tol=1e-10)
+        assert len(calls) <= 300
+        assert event.time == pytest.approx(self.HALF_PERIOD, abs=3e-11)
 
 
 class TestSpecValidation:

@@ -86,6 +86,11 @@ class TestParsing:
                             ("pendulum", "[1.2, 0, 0, 0]")):
             with pytest.raises(ScenarioError, match="seed must have"):
                 parse_scenario(f"model: {model}\ntask: simulate\nseed: {seed}\n")
+        # Entries are cast only from numbers: no booleans, no strings.
+        for bad in ("true", "'0.5'", "1e-1"):
+            with pytest.raises(ScenarioError, match=r"seed\[3\] must be a number"):
+                parse_scenario("model: slip\ntask: simulate\n"
+                               f"seed: [0.8, 0.0, 0.0, {bad}]\n")
 
     def test_nonpositive_numerics_rejected(self):
         with pytest.raises(ScenarioError):
@@ -94,15 +99,31 @@ class TestParsing:
             parse_scenario("model: slip\ntask: simulate\nnumerics: {t_max: 0}\n")
         with pytest.raises(ScenarioError):
             Numerics(max_impacts=0)
+        # A bool or a string is not a number, even when float() would take
+        # it; PyYAML reads 1e-10 (no dot) as a string.
         for key in ("tol", "event_tol", "t_max", "max_impacts"):
-            for bad in (".nan", ".inf"):
-                with pytest.raises(ScenarioError):
+            for bad in (".nan", ".inf", "true", "'5'", "1e-10"):
+                with pytest.raises(ScenarioError, match=f"numerics.{key}"):
                     parse_scenario("model: slip\ntask: simulate\n"
                                    f"numerics: {{{key}: {bad}}}\n")
+        # An integer field takes integral values only, never truncated.
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            parse_scenario("model: slip\ntask: simulate\n"
+                           "numerics: {max_impacts: 1.9}\n")
+
+    def test_integral_number_accepted_for_int_field(self):
+        sc = parse_scenario("model: slip\ntask: simulate\n"
+                            "numerics: {max_impacts: 3.0, t_max: 5}\n")
+        assert sc.numerics.max_impacts == 3 and type(sc.numerics.max_impacts) is int
+        assert sc.numerics.t_max == 5.0 and type(sc.numerics.t_max) is float
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ScenarioError):
             Outputs(stride=0)
+        for bad in ("2.7", "true", "'2'"):
+            with pytest.raises(ScenarioError, match="outputs.stride must be"):
+                parse_scenario("model: slip\ntask: simulate\n"
+                               f"outputs: {{stride: {bad}}}\n")
 
     def test_empty_output_name_rejected(self):
         for key in ("trajectory", "report"):
@@ -115,6 +136,10 @@ class TestParsing:
             parse_scenario("model: slip\ntask: simulate\nparams: {kappa: soft}\n")
         for bad in (".nan", ".inf", "-.inf"):
             with pytest.raises(ScenarioError):
+                parse_scenario("model: slip\ntask: simulate\n"
+                               f"params: {{kappa: {bad}}}\n")
+        for bad in ("true", "'50.0'", "5e1"):
+            with pytest.raises(ScenarioError, match="params.kappa must be a number"):
                 parse_scenario("model: slip\ntask: simulate\n"
                                f"params: {{kappa: {bad}}}\n")
 
