@@ -6,6 +6,7 @@ and the symmetry-compatibility condition transports periodic orbits onto it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -100,7 +101,9 @@ def feedback_u_star(manifold: ZeroDynamicsManifold, params,
     """The unique control keeping the closed loop tangent to the manifold.
 
     `params` must expose g, kappa, l0, m with the quadratic spring potential.
+    The arithmetic is on Python floats.
     """
+    phi, phidot = float(phi), float(phidot)
     hval = manifold.length(phi)
     hp = manifold.slope(phi)
     hpp = manifold.curvature(phi)
@@ -108,10 +111,10 @@ def feedback_u_star(manifold: ZeroDynamicsManifold, params,
     # First three terms are d^2/dt^2 [h(phi(t))] with the zero dynamics
     # substituted for phiddot; the curvature term carries phidot^2.
     return (hpp * phidot ** 2
-            + hp * g * np.sin(phi) / hval
+            + hp * g * math.sin(phi) / hval
             - 2.0 * phidot ** 2 / hval * hp ** 2
             - hval * phidot ** 2
-            + g * np.cos(phi)
+            + g * math.cos(phi)
             + kappa * (hval - l0) / m)
 
 

@@ -2,23 +2,30 @@
 
 Integrates a smooth vector field with the adaptive eighth-order DOP853
 scheme and scans each accepted step on its dense output as it goes, stopping
-at the first directional guard crossing. This is the one place where
-crossings are found: the same scan also reports the first crossing of a
-watched function, which the Poincare return map uses for its section. The
-scan finds every crossing of an event that is affine in the state, however
-long the step (see `_critical_points`); for a nonlinear guard that coverage
-is a heuristic. Event times are refined by bracketing root-finding; the
-module then applies the reset map and enforces anti-Zeno and post-reset
+at the first directional guard crossing. The step is scipy's DOP853 tableau,
+error norm and step-size controller, inlined so that the field is called
+directly; `scipy.integrate.DOP853` itself is the oracle the tests compare it
+with, step for step and bit for bit. This is the one place where crossings
+are found: the same scan also reports the first crossing of a watched
+function, which the Poincare return map uses for its section. The scan finds
+every crossing of an event that is affine in the state, however long the
+step (see `_critical_points`); for a nonlinear guard that coverage is a
+heuristic. Event times are refined by bracketing root-finding; the module
+then applies the reset map and enforces anti-Zeno and post-reset
 admissibility conditions.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
+# Two parts of scipy's DOP853 with no public name, from its private modules.
+from scipy.integrate._ivp.common import select_initial_step
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from . import _fd
@@ -38,6 +45,22 @@ _FIT = np.linalg.pinv(np.vander(np.linspace(0.0, 1.0, _SUBSTEPS + 1),
 _BERNSTEIN = np.array([[math.comb(j, i) / math.comb(_DEGREE, i)
                         for i in range(_DEGREE + 1)]
                        for j in range(_DEGREE + 1)])
+_RANGE = _BERNSTEIN @ _FIT  # samples -> Bernstein coefficients
+
+# scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5-II.6):
+# 12 stages, an error norm from the E5 and E3 estimates, and 3 extra stages
+# for the dense output's 7 x n coefficients F. The stage times (C, C_EXTRA)
+# are not needed: the field is autonomous.
+_STAGES = DOP853.n_stages
+_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises smaller rtols to this
+_POWER = 3 + DOP853.D.shape[0]  # rows of F: 3 from the step's ends, 4 from D
+# Dop853DenseOutput is y_old + sum_j x^(j//2 + 1) (1 - x)^((j + 1)//2) F[j]
+# at x = (t - t_old) / h; the rows are the scan's samples x = k / _SUBSTEPS.
+_TAU = np.linspace(0.0, 1.0, _SUBSTEPS + 1)
+_BASIS = np.array([[x ** (j // 2 + 1) * (1.0 - x) ** ((j + 1) // 2)
+                    for j in range(_POWER)] for x in _TAU[1:]])
 
 RISING = "rising"
 FALLING = "falling"
@@ -105,8 +128,10 @@ class HybridSystemSpec:
     def __post_init__(self):
         if self.guard_direction not in _DIRECTIONS:
             raise ValueError(f"guard_direction must be one of {_DIRECTIONS}")
-        if self.min_inter_impact <= 0:
-            raise ValueError("min_inter_impact must be positive")
+        if not 0.0 < self.min_inter_impact < math.inf:
+            raise ValueError("min_inter_impact must be positive and finite")
+        if not 0.0 < self.event_tol < math.inf:
+            raise ValueError("event_tol must be positive and finite")
         if self.max_impacts < 1:
             raise ValueError("max_impacts must be a positive integer")
 
@@ -166,17 +191,17 @@ def _critical_points(f: np.ndarray) -> np.ndarray:
 
     f holds an event function's _SUBSTEPS + 1 equispaced samples on one
     step. None are returned when the fit's Bernstein coefficients are all
-    of one strict sign (the fit has no zero on the step), or when a sample
-    is not finite (the sign test then sees only the samples). For an event
+    of one strict sign (the fit has no zero on the step), or when one is
+    not finite (the sign test then sees only the samples). For an event
     affine in the state the fit is the event along DOP853's degree-7 dense
     output, so between these points and the samples the event is monotone
     and a sign test on them misses no crossing. For a nonlinear event this
     is a heuristic.
     """
+    b = _RANGE @ f
+    if not -math.inf < b.min() <= 0.0 <= b.max() < math.inf:
+        return f[:0]
     c = _FIT @ f
-    b = _BERNSTEIN @ c
-    if not np.all(np.isfinite(b)) or np.all(b > 0.0) or np.all(b < 0.0):
-        return c[:0]
     roots = np.polynomial.polynomial.polyroots(c[1:] * np.arange(1, _DEGREE + 1))
     # A double root can come back as a complex pair split by rounding.
     tau = roots.real[np.abs(roots.imag) <= 1e-9]
@@ -208,45 +233,106 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
           tol: float, watch=None):
     """Step DOP853 from `start` and stop at the first wanted crossing.
 
-    Each accepted step is sampled at _SUBSTEPS + 1 points of its dense
-    output; where the degree-7 fit to an event's samples may vanish on the
-    step, the event is also sampled at the fit's interior critical points
-    (`_critical_points`). A pair of crossings inside one step is then still
-    seen: for an event affine in the state this holds whatever the step
-    length, for a nonlinear guard it is a heuristic. The flow stops at the
-    first step that holds a wanted guard crossing or, with
+    The step is scipy's DOP853 inlined: its tableau, initial step, error
+    norm and step-size controller at rtol = atol = tol, and its dense output
+    built from 3 extra stages. It takes the same steps, to the bit, as
+    `scipy.integrate.DOP853`, which the tests use as its oracle, and calls
+    spec.vector_field directly. Each accepted step is sampled at _SUBSTEPS + 1
+    points of its dense output; where the degree-7 fit to an event's samples
+    may vanish on the step, the event is also sampled at the fit's interior
+    critical points (`_critical_points`). A pair of crossings inside one step
+    is then still seen: for an event affine in the state this holds whatever
+    the step length, for a nonlinear guard it is a heuristic. The flow stops
+    at the first step that holds a wanted guard crossing or, with
     watch = (fn, direction, t_min), a wanted sign change of fn on a sample
     pair starting at or after t_min. Returns (Segment, ImpactEvent or None,
     watch hit as (time, state) or None); a watch hit later than the impact
     in the same step is dropped.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    y0 = as_state(start)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not (math.isfinite(t_start) and math.isfinite(t_max)):
+        raise ValueError("t_start and t_max must be finite")
+    y = as_state(start)
     if t_max <= t_start:
         raise ValueError("t_max must exceed t_start")
 
-    solver = DOP853(lambda t, y: np.asarray(spec.vector_field(y), dtype=float),
-                    float(t_start), y0, float(t_max), rtol=tol, atol=tol)
-    ts, ys, steps = [float(t_start)], [y0], []
-    g_prev = float(spec.guard(y0))
+    if tol < _RTOL_FLOOR:
+        warnings.warn(f"tol {tol:g} is below 100 eps; the relative "
+                      f"tolerance is raised to {_RTOL_FLOOR:g}", stacklevel=3)
+    field = spec.vector_field
+    t, t_max, rtol = float(t_start), float(t_max), max(tol, _RTOL_FLOOR)
+    # Stage derivatives: rows 0.._STAGES for the step (row 0 is f(y), row
+    # _STAGES is f at the step's end), the rest for the dense output.
+    K = np.empty((_STAGES + 1 + len(DOP853.A_EXTRA), y.size))
+    K[0] = field(y)
+    h_abs = select_initial_step(lambda _, x: np.asarray(field(x), dtype=float),
+                                t, y, t_max, math.inf, K[0], 1.0,
+                                DOP853.error_estimator_order, rtol, tol)
+    stages = [(s, K[:s].T, a[:s]) for s, a in enumerate(DOP853.A[1:], start=1)]
+    extras = [(s, K[:s].T, a[:s])
+              for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
+    k_step, k_err = K[:_STAGES].T, K[:_STAGES + 1].T
+
+    ts, ys, steps = [t], [y], []
+    g_prev = float(spec.guard(y))
     # A segment that starts on the guard (post-reset case) skips its leading
     # on-guard samples so the departure is not mistaken for a crossing.
     on_guard = abs(g_prev) <= spec.event_tol
     if watch is not None:
         fn, w_direction, t_min = watch
-        w_prev = float(fn(y0))
+        w_prev = float(fn(y))
     event = hit = None
-    while event is None and hit is None and solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"integrator failed: {message}")
-        steps.append(solver.dense_output())
-        ts.append(solver.t)
-        ys.append(solver.y)
-        grid = np.linspace(solver.t_old, solver.t, _SUBSTEPS + 1)
-        states = steps[-1](grid[1:]).T
-        tg, g = _samples(spec.guard, steps[-1], grid, g_prev, states)
+    while event is None and hit is None and t < t_max:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError("integrator failed: step size below "
+                                       "10 ulp of the time")
+            t_new = min(t + h_abs, t_max)
+            h = h_abs = t_new - t
+            for s, k, a in stages:
+                K[s] = field(y + np.dot(k, a) * h)
+            y_new = y + h * np.dot(k_step, DOP853.B)
+            K[_STAGES] = field(y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(k_err, DOP853.E5) / scale
+            err3 = np.dot(k_err, DOP853.E3) / scale
+            e5 = math.sqrt(err5.dot(err5)) ** 2
+            e3 = math.sqrt(err3.dot(err3)) ** 2
+            if e5 == 0 and e3 == 0:
+                error = 0.0
+            else:
+                error = h * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
+            rejected = True
+
+        for s, k, a in extras:
+            K[s] = field(y + np.dot(k, a) * h)
+        F = np.empty((_POWER, y.size))
+        delta = y_new - y
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (K[_STAGES] + K[0])
+        F[3:] = h * np.dot(DOP853.D, K)
+        K[0] = K[_STAGES]
+        step = Dop853DenseOutput(t, t_new, y, F)
+        steps.append(step)
+        states = y + _BASIS @ F
+        grid = t + h * _TAU
+        grid[-1] = t_new
+        t, y = t_new, y_new
+        ts.append(t)
+        ys.append(y)
+
+        tg, g = _samples(spec.guard, step, grid, g_prev, states)
         g_prev = g[-1]
         first = 0
         if on_guard:
@@ -256,7 +342,7 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         i = _first_crossing(spec.guard_direction, g, first)
         j = None
         if watch is not None:
-            tw, w = _samples(fn, steps[-1], grid, w_prev, states)
+            tw, w = _samples(fn, step, grid, w_prev, states)
             w_prev = w[-1]
             j = _first_crossing(w_direction, w, int(np.searchsorted(tw, t_min)))
         if i is None and j is None:
@@ -353,6 +439,8 @@ def run_hybrid(
     Raises ZenoError when a reset returns the pre-impact state (stuck on the
     guard) or two impacts arrive closer than min_inter_impact.
     """
+    if not (math.isfinite(t0) and math.isfinite(tf)):
+        raise ValueError("t0 and tf must be finite")
     if tf <= t0:
         raise ValueError("tf must exceed t0")
     state = as_state(start)

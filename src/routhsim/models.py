@@ -10,6 +10,7 @@ momentum enters only through a constant shift of the effective potential.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -103,19 +104,22 @@ def slip_mechanical(params: SlipParams) -> MechanicalSystem:
 
 
 def slip_acceleration(params: SlipParams, s, u: float = 0.0):
-    """Closed-form stance accelerations; u adds spring-length actuation."""
-    xi, phi, xidot, phidot = s
+    """Closed-form stance accelerations; u adds spring-length actuation.
+
+    s is any sequence of 4 numbers; the arithmetic is on Python floats.
+    """
+    xi, phi, xidot, phidot = np.asarray(s, dtype=float).tolist()
     g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
-    xi_acc = xi * phidot ** 2 - g * np.cos(phi) - kappa * (xi - l0) / m + u
-    phi_acc = (g / xi) * np.sin(phi) - 2.0 * phidot * xidot / xi
+    xi_acc = xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u
+    phi_acc = (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi
     return xi_acc, phi_acc
 
 
 def slip_field_jacobian(params: SlipParams, s) -> np.ndarray:
     """Closed-form Jacobian of the unactuated stance field at state s."""
-    xi, phi, xidot, phidot = s
+    xi, phi, xidot, phidot = np.asarray(s, dtype=float).tolist()
     g, kappa, m = params.g, params.kappa, params.m
-    sin, cos = np.sin(phi), np.cos(phi)
+    sin, cos = math.sin(phi), math.cos(phi)
     return np.array([
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],

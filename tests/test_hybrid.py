@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853
 
 import routhsim as rs
 from routhsim.hybrid import (
     AdmissibilityError,
     HybridSystemSpec,
+    IntegrationError,
     MaxImpactsError,
     TangentialCrossingError,
     ZenoError,
@@ -19,6 +21,9 @@ from routhsim.hybrid import (
     integrate_segment,
     run_hybrid,
 )
+from routhsim.poincare import _variational_spec
+
+NAN, INF = float("nan"), float("inf")
 
 
 def sawtooth(reset=None, **kw):
@@ -116,6 +121,106 @@ class TestIntegrateSegment:
                 [1.0, 0.0], 0.0, 2.0 * np.pi, tol=tol)
             errs.append(abs(segment.dense(2.0 * np.pi)[0] - 1.0))
         assert errs[1] <= errs[0] + 1e-12
+
+
+class TestInlinedStep:
+    """The inlined step against scipy.integrate.DOP853, its oracle."""
+
+    @staticmethod
+    def oracle(field, start, t_max, tol):
+        """scipy's knots, states, dense values at each step's scan samples
+        and field calls (its dense output taken on every step)."""
+        solver = DOP853(lambda t, y: field(y), 0.0, start, t_max,
+                        rtol=tol, atol=tol)
+        ts, ys, dense = [solver.t], [solver.y], []
+        while solver.status == "running":
+            solver.step()
+            ts.append(solver.t)
+            ys.append(solver.y)
+            grid = np.linspace(solver.t_old, solver.t, _SUBSTEPS + 1)
+            dense.append(solver.dense_output()(grid[1:]))
+        return np.array(ts), np.vstack(ys), dense, solver.nfev
+
+    @pytest.mark.parametrize("variational", [False, True],
+                             ids=["slip", "slip_variational"])
+    def test_matches_scipy_bit_for_bit(self, variational):
+        cert = rs.CERTIFIED_SLIP
+        spec, start = rs.slip_hybrid_spec(cert.params), cert.seed
+        if variational:
+            spec = _variational_spec(spec, 4)
+            start = np.concatenate([start, np.eye(4).ravel()])
+        calls = []
+
+        def field(s):
+            calls.append(1)
+            return spec.vector_field(s)
+
+        # A guard that never fires: the flow runs to t_max.
+        free = dataclasses.replace(spec, vector_field=field,
+                                   guard=lambda s: -1.0)
+        segment, event = integrate_segment(free, start, 0.0, 5.0, tol=1e-10)
+        ts, ys, dense, nfev = self.oracle(spec.vector_field, start, 5.0, 1e-10)
+        assert event is None
+        assert np.array_equal(segment.t, ts)
+        assert np.array_equal(segment.y, ys)
+        for step, ref in zip(segment.dense.interpolants, dense, strict=True):
+            grid = np.linspace(step.t_old, step.t, _SUBSTEPS + 1)
+            assert np.array_equal(step(grid[1:]), ref)
+        assert len(calls) == nfev
+        # Two calls start the flow, an accepted step makes 12 + 3 and a
+        # rejected one 12: the run takes rejected steps, and its last step
+        # is clipped to end at t_max.
+        steps = ts.size - 1
+        assert (nfev - 2 - 15 * steps) // 12 > 0
+        assert segment.t[-1] == 5.0
+
+    def test_blow_up_raises(self):
+        # x' = x^2 from x = 1 leaves every bound at t = 1.
+        spec = HybridSystemSpec(vector_field=lambda s: np.array([s[0] ** 2, 0.0]),
+                                guard=lambda s: -1.0,
+                                reset=lambda s: np.array(s))
+        with pytest.raises(IntegrationError):
+            integrate_segment(spec, [1.0, 0.0], 0.0, 2.0)
+
+
+class TestNonFiniteArguments:
+    """Non-finite horizons and tolerances raise before the first step."""
+
+    @pytest.mark.parametrize("t_start, t_max, tol", [
+        (NAN, 1.0, 1e-10), (0.0, NAN, 1e-10), (0.0, INF, 1e-10),
+        (0.0, 1.0, NAN), (0.0, 1.0, INF)])
+    def test_integrate_segment(self, t_start, t_max, tol):
+        # The guard x = 2 is never reached.
+        with pytest.raises(ValueError):
+            integrate_segment(harmonic(level=2.0), [1.0, 0.0], t_start, t_max,
+                              tol=tol)
+
+    @pytest.mark.parametrize("t0, tf, tol", [
+        (NAN, 1.0, 1e-10), (0.0, NAN, 1e-10), (0.0, INF, 1e-10),
+        (0.0, 1.0, NAN), (0.0, 1.0, INF)])
+    def test_run_hybrid(self, t0, tf, tol):
+        with pytest.raises(ValueError):
+            run_hybrid(sawtooth(), [0.0, 0.0], t0, tf, tol=tol)
+
+    @pytest.mark.parametrize("task", ["orbit", "return_map", "jacobian",
+                                      "time_to_impact"])
+    @pytest.mark.parametrize("t_max, tol", [
+        (NAN, 1e-10), (INF, 1e-10), (5.0, NAN), (5.0, INF)])
+    def test_pipeline(self, task, t_max, tol):
+        cert = rs.CERTIFIED_SLIP
+        spec = rs.slip_hybrid_spec(cert.params)
+        section = rs.slip_section(cert.seed)
+        calls = {
+            "orbit": lambda: rs.construct_periodic_orbit(
+                spec, rs.slip_symmetry(), cert.seed, t_max, tol=tol),
+            "return_map": lambda: rs.return_map(spec, section, np.zeros(3),
+                                                t_max=t_max, tol=tol),
+            "jacobian": lambda: rs.jacobian(spec, section, t_max=t_max, tol=tol),
+            "time_to_impact": lambda: rs.time_to_impact(spec, cert.seed, t_max,
+                                                        tol=tol),
+        }
+        with pytest.raises(ValueError):
+            calls[task]()
 
 
 class TestCrossingProperties:
@@ -339,3 +444,16 @@ class TestSpecValidation:
     def test_bad_max_impacts(self):
         with pytest.raises(ValueError):
             sawtooth(max_impacts=0)
+
+    @pytest.mark.parametrize("gap", [NAN, INF])
+    def test_non_finite_min_inter_impact(self, gap):
+        # A NaN gap would switch the Zeno guard off.
+        with pytest.raises(ValueError):
+            sawtooth(min_inter_impact=gap)
+
+    @pytest.mark.parametrize("event_tol", [NAN, INF, 0.0, -1e-10])
+    def test_bad_event_tol(self, event_tol):
+        # A NaN tolerance would switch the residual check off; a zero or
+        # negative one would fail later as a stalled refinement.
+        with pytest.raises(ValueError):
+            sawtooth(event_tol=event_tol)

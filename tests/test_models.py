@@ -15,6 +15,7 @@ from routhsim.certified import (
 )
 from routhsim.models import (
     slip_acceleration,
+    slip_field_jacobian,
     slip_guard,
     slip_momentum_transition,
     slip_reset,
@@ -80,6 +81,14 @@ class TestAnalyticFields:
         fd = _fd.jacobian(spec.vector_field, s)
         np.testing.assert_allclose(closed, fd, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(closed)))
+
+    @pytest.mark.parametrize("helper", [slip_acceleration, slip_field_jacobian])
+    def test_field_helpers_take_any_sequence(self, helper):
+        params = rs.SlipParams(kappa=50.0, l0=1.0)
+        s = [0.9, 0.3, -0.4, 1.2]
+        ref = np.asarray(helper(params, np.array(s)))
+        for seq in (s, tuple(s)):
+            assert np.array_equal(np.asarray(helper(params, seq)), ref)
 
     def test_feedback_spec_has_no_field_jacobian(self):
         spec = rs.slip_hybrid_spec(rs.SlipParams(), u_feedback=lambda s: 0.0)
