@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _fd
-from .hybrid import HybridSystemSpec, as_state
+from .hybrid import HybridSystemSpec, _brent, as_state
 from .routh import RouthianSystem
 from .symmetry import PeriodicOrbit, ReversalSymmetry, construct_periodic_orbit
 
@@ -162,7 +161,8 @@ def hybrid_invariance_check(
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(brentq(gfun, grid[i], grid[i + 1], xtol=1e-14)))
+            roots.append(_brent(gfun, grid[i], grid[i + 1], xtol=1e-14,
+                                rtol=4 * np.finfo(float).eps))
     if not roots:
         raise EmptyImpactSetError(
             "guard has no zero on the zero-dynamics manifold in the bracket")

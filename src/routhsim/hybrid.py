@@ -4,15 +4,16 @@ Integrates a smooth vector field with the adaptive eighth-order DOP853
 scheme and scans each accepted step on its dense output as it goes, stopping
 at the first directional guard crossing. The step is scipy's DOP853 tableau,
 error norm and step-size controller, inlined so that the field is called
-directly; `scipy.integrate.DOP853` itself is the oracle the tests compare it
-with, step for step and bit for bit. This is the one place where crossings
-are found: the same scan also reports the first crossing of a watched
-function, which the Poincare return map uses for its section. The scan finds
-every crossing of an event that is affine in the state, however long the
-step (see `_critical_points`); for a nonlinear guard that coverage is a
-heuristic. Event times are refined by bracketing root-finding; the module
-then applies the reset map and enforces anti-Zeno and post-reset
-admissibility conditions.
+directly; the tableau, first step and dense output come from the private
+`_dop853` module, so scipy is not imported. `scipy.integrate.DOP853` is the
+oracle the tests compare it with, step for step and bit for bit. This is
+the one place where crossings are found: the same scan also reports the
+first crossing of a watched function, which the Poincare return map uses
+for its section. The scan finds every crossing of an event that is affine
+in the state, however long the step (see `_critical_points`); for a
+nonlinear guard that coverage is a heuristic. Event times are refined by
+Brent's bracketing root-finder (`_brent`); the module then applies the
+reset map and enforces anti-Zeno and post-reset admissibility conditions.
 """
 from __future__ import annotations
 
@@ -22,13 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-# Two parts of scipy's DOP853 with no public name, from its private modules.
-from scipy.integrate._ivp.common import select_initial_step
-from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
 
-from . import _fd
+from . import _dop853, _fd
+from ._dop853 import DenseOutput, DenseStep
 
 EVENT_TOL = 1e-10
 TANGENT_TOL = 1e-8
@@ -49,15 +46,15 @@ _RANGE = _BERNSTEIN @ _FIT  # samples -> Bernstein coefficients
 
 # scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5-II.6):
 # 12 stages, an error norm from the E5 and E3 estimates, and 3 extra stages
-# for the dense output's 7 x n coefficients F. The stage times (C, C_EXTRA)
-# are not needed: the field is autonomous.
-_STAGES = DOP853.n_stages
-_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+# for the dense output's 7 x n coefficients F. The stage times are not
+# needed: the field is autonomous.
+_STAGES = _dop853.N_STAGES
+_EXPONENT = -1 / (_dop853.ERROR_ESTIMATOR_ORDER + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises smaller rtols to this
-_POWER = 3 + DOP853.D.shape[0]  # rows of F: 3 from the step's ends, 4 from D
-# Dop853DenseOutput is y_old + sum_j x^(j//2 + 1) (1 - x)^((j + 1)//2) F[j]
-# at x = (t - t_old) / h; the rows are the scan's samples x = k / _SUBSTEPS.
+_POWER = _dop853.INTERPOLATOR_POWER  # rows of F: 3 from the step's ends, 4 from D
+# DenseStep is y_old + sum_j x^(j//2 + 1) (1 - x)^((j + 1)//2) F[j] at
+# x = (t - t_old) / h; the rows are the scan's samples x = k / _SUBSTEPS.
 _TAU = np.linspace(0.0, 1.0, _SUBSTEPS + 1)
 _BASIS = np.array([[x ** (j // 2 + 1) * (1.0 - x) ** ((j + 1) // 2)
                     for j in range(_POWER)] for x in _TAU[1:]])
@@ -152,7 +149,7 @@ class Segment:
 
     t: np.ndarray          # shape (k,)
     y: np.ndarray          # shape (k, dim), rows are states
-    dense: object          # scipy OdeSolution over [t[0], t[-1]]
+    dense: DenseOutput     # DOP853's dense output over [t[0], t[-1]]
 
 
 @dataclass(frozen=True)
@@ -221,12 +218,70 @@ def _samples(fn, dense, grid: np.ndarray, f0: float, states: np.ndarray):
     return t[order], f[order]
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A zero of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as scipy's `brentq` runs it: the same iterates, bit for
+    bit, stopping when the bracket is below xtol + rtol * |x|. Raises
+    ValueError on a NaN value or a bracket without a sign change, and
+    RuntimeError after 100 iterations, scipy's default budget.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 def _root(fn, dense, t_lo: float, t_hi: float, f_hi: float) -> float:
     """Time in [t_lo, t_hi] at which fn vanishes along the dense output."""
     if f_hi == 0.0:
         return float(t_hi)
-    return float(brentq(lambda t: float(fn(dense(t))), t_lo, t_hi,
-                        xtol=1e-14, rtol=8.9e-16))
+    return _brent(lambda t: fn(dense(t)), t_lo, t_hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
@@ -235,8 +290,9 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
 
     The step is scipy's DOP853 inlined: its tableau, initial step, error
     norm and step-size controller at rtol = atol = tol, and its dense output
-    built from 3 extra stages. It takes the same steps, to the bit, as
-    `scipy.integrate.DOP853`, which the tests use as its oracle, and calls
+    built from 3 extra stages (the parts held in `_dop853`). It takes the
+    same steps, to the bit, as `scipy.integrate.DOP853`, which the tests use
+    as its oracle, and calls
     spec.vector_field directly. Each accepted step is sampled at _SUBSTEPS + 1
     points of its dense output; where the degree-7 fit to an event's samples
     may vanish on the step, the event is also sampled at the fit's interior
@@ -264,14 +320,14 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
     t, t_max, rtol = float(t_start), float(t_max), max(tol, _RTOL_FLOOR)
     # Stage derivatives: rows 0.._STAGES for the step (row 0 is f(y), row
     # _STAGES is f at the step's end), the rest for the dense output.
-    K = np.empty((_STAGES + 1 + len(DOP853.A_EXTRA), y.size))
+    K = np.empty((_dop853.N_STAGES_EXTENDED, y.size))
     K[0] = field(y)
-    h_abs = select_initial_step(lambda _, x: np.asarray(field(x), dtype=float),
-                                t, y, t_max, math.inf, K[0], 1.0,
-                                DOP853.error_estimator_order, rtol, tol)
-    stages = [(s, K[:s].T, a[:s]) for s, a in enumerate(DOP853.A[1:], start=1)]
+    h_abs = _dop853.select_initial_step(
+        lambda x: np.asarray(field(x), dtype=float), t, y, t_max, K[0],
+        rtol, tol)
+    stages = [(s, K[:s].T, a[:s]) for s, a in enumerate(_dop853.A[1:], start=1)]
     extras = [(s, K[:s].T, a[:s])
-              for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
+              for s, a in enumerate(_dop853.A_EXTRA, start=_STAGES + 1)]
     k_step, k_err = K[:_STAGES].T, K[:_STAGES + 1].T
 
     ts, ys, steps = [t], [y], []
@@ -295,11 +351,11 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
             h = h_abs = t_new - t
             for s, k, a in stages:
                 K[s] = field(y + np.dot(k, a) * h)
-            y_new = y + h * np.dot(k_step, DOP853.B)
+            y_new = y + h * np.dot(k_step, _dop853.B)
             K[_STAGES] = field(y_new)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(k_err, DOP853.E5) / scale
-            err3 = np.dot(k_err, DOP853.E3) / scale
+            err5 = np.dot(k_err, _dop853.E5) / scale
+            err3 = np.dot(k_err, _dop853.E3) / scale
             e5 = math.sqrt(err5.dot(err5)) ** 2
             e3 = math.sqrt(err3.dot(err3)) ** 2
             if e5 == 0 and e3 == 0:
@@ -321,9 +377,9 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         F[0] = delta
         F[1] = h * K[0] - delta
         F[2] = 2 * delta - h * (K[_STAGES] + K[0])
-        F[3:] = h * np.dot(DOP853.D, K)
+        F[3:] = h * np.dot(_dop853.D, K)
         K[0] = K[_STAGES]
-        step = Dop853DenseOutput(t, t_new, y, F)
+        step = DenseStep(t, t_new, y, F)
         steps.append(step)
         states = y + _BASIS @ F
         grid = t + h * _TAU
@@ -348,7 +404,7 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         if i is None and j is None:
             continue
 
-        dense = OdeSolution(ts, steps)
+        dense = DenseOutput(ts, steps)
         if i is not None:
             t_event = _root(spec.guard, dense, tg[i], tg[i + 1], g[i + 1])
             pre = np.asarray(dense(t_event), dtype=float)
@@ -375,7 +431,7 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         keep = int(np.searchsorted(ts, event.time))  # knots before the event
         t_grid = np.append(ts[:keep], event.time)
         y_grid = np.vstack(ys[:keep] + [event.pre_state])
-    dense = OdeSolution(t_grid, steps[:t_grid.size - 1])
+    dense = DenseOutput(t_grid, steps[:t_grid.size - 1])
     return Segment(t=t_grid, y=y_grid, dense=dense), event, hit
 
 

@@ -14,8 +14,8 @@ from routhsim.cli import (
     main,
 )
 
-SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
-                   .glob("*.yaml"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.yaml"))
 
 ORBIT_DOC = """
 model: slip
@@ -107,6 +107,17 @@ class TestNumericalErrors:
                      "--seed-override", "0.8,0.2,0.0,0.5"])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    # The SLIP field divides by the spring length (zero at the first seed)
+    # and squares the angular rate (1e320 at the second) on Python floats.
+    @pytest.mark.parametrize("seed", ["0.0,0.0,0.0,0.5", "0.8,0.0,0.0,1.0e+160"],
+                             ids=["zero_division", "overflow"])
+    def test_arithmetic_error(self, seed, tmp_path, capsys):
+        code = main(["simulate", "--scenario",
+                     str(SCENARIO_DIR / "slip_simulate.yaml"),
+                     "--out", str(tmp_path), "--seed-override", seed])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 class TestSuccessPath:

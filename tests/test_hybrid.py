@@ -1,11 +1,13 @@
 """Hybrid execution engine: events, resets, anti-Zeno and admissibility."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 import routhsim as rs
 from routhsim.hybrid import (
@@ -18,6 +20,7 @@ from routhsim.hybrid import (
     as_state,
     apply_reset,
     _SUBSTEPS,
+    _brent,
     integrate_segment,
     run_hybrid,
 )
@@ -181,6 +184,61 @@ class TestInlinedStep:
                                 reset=lambda s: np.array(s))
         with pytest.raises(IntegrationError):
             integrate_segment(spec, [1.0, 0.0], 0.0, 2.0)
+
+
+class TestBrent:
+    """The root-finder against scipy.optimize.brentq, its oracle."""
+
+    @staticmethod
+    def brackets(seed, count):
+        """Seeded (f, a, b) with f(a) and f(b) of opposite signs."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            r, q = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3, 2)
+            a, b = r - 10.0 ** rng.uniform(-6, 1), r + 10.0 ** rng.uniform(-6, 1)
+            w = rng.uniform(0.5, 20.0)
+            family = (
+                lambda x, r=r, q=q: (x - r) * (x * x + q),
+                lambda x, r=r, w=w: math.expm1(w * (x - r)),
+                lambda x, r=r: (x - r) ** 3,
+                lambda x, r=r, w=w: math.tanh(w * (x - r)) + 0.01 * (x - r),
+                lambda x, r=r, w=w: math.sin(w * (x - r)),
+            )[i % 5]
+            if family(a) * family(b) < 0.0:
+                yield family, a, b
+
+    @staticmethod
+    def outcome(solver, f, a, b, **kwargs):
+        """The root, or the error's type, and every point f was called at."""
+        calls = []
+        try:
+            root = solver(lambda x: calls.append(x) or f(x), a, b,
+                          xtol=1e-14, **kwargs)
+        except (ValueError, RuntimeError) as exc:
+            root = type(exc)
+        return root, calls
+
+    @pytest.mark.parametrize("rtol", [8.9e-16, 4 * np.finfo(float).eps],
+                             ids=["engine", "invariance_check"])
+    def test_matches_brentq_bit_for_bit(self, rtol):
+        roots = 0
+        for f, a, b in self.brackets(31, 1200):
+            ours = self.outcome(_brent, f, a, b, rtol=rtol)
+            assert ours == self.outcome(brentq, f, a, b, rtol=rtol)
+            roots += isinstance(ours[0], float)
+        assert roots > 800
+
+    @pytest.mark.parametrize("f, a, b, error", [
+        (lambda x: x - 0.3, 0.5, 1.0, ValueError),  # no sign change
+        (lambda x: math.nan, 0.0, 1.0, ValueError),  # NaN value
+        # At the flat triple root the bracket shrinks too slowly to close
+        # within 100 iterations.
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0, RuntimeError),
+    ], ids=["same_sign", "nan", "no_convergence"])
+    def test_failures_match_brentq(self, f, a, b, error):
+        ours = self.outcome(_brent, f, a, b, rtol=8.9e-16)
+        assert ours[0] is error
+        assert ours == self.outcome(brentq, f, a, b, rtol=8.9e-16)
 
 
 class TestNonFiniteArguments:

@@ -1,0 +1,41 @@
+"""The library runs without importing scipy."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs the CLI on the poincare scenario (flow, section watch, Brent
+# refinement, linearization) and on the zero-dynamics scenario (the
+# invariance check's Brent), then reconstructs the attitude of a SLIP run,
+# and prints every scipy module loaded by then, lazily or not.
+SCRIPT = """
+import json, sys, tempfile
+import routhsim as rs
+from routhsim import cli
+
+for task, name in (("poincare", "slip_poincare"),
+                   ("zero_dynamics", "controlled_zero_dynamics")):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main([task, "--scenario", f"scenarios/{name}.yaml",
+                         "--out", out, "--quiet"])
+    assert code == 0, (name, code)
+params = rs.SlipParams(kappa=50.0, l0=1.0, mu=0.5)
+traj = rs.run_hybrid(rs.slip_hybrid_spec(params), [0.8, 0.0, 0.0, 0.5], 0.0, 2.5)
+assert traj.impacts
+mus = rs.momentum_sequence(params.mu, traj.impacts, rs.slip_momentum_transition)
+rs.reconstruct_cyclic(rs.slip_routhian(params), traj, 0.0, mus=mus)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_no_scipy_module_is_loaded():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

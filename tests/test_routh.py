@@ -170,6 +170,21 @@ class TestReconstruction:
         oracle = integrate_full_pendulum(1.2, 0.0, 1.0, (0.0, 5.0))
         assert max(abs(thetas - oracle.sol(ts)[1])) <= 1e-6
 
+    @pytest.mark.parametrize("mu, start, t_end", [
+        (1.0, [1.2, 0.0], 5.0), (0.5, [1.5, 0.3], 8.0), (2.0, [0.8, -0.2], 6.0)])
+    def test_matches_tight_integration_along_dense_output(self, mu, start, t_end):
+        # The reference integrates thetadot = mu / (m r^2) along the same
+        # dense output with DOP853 at 1e-13, so only the quadrature differs.
+        sys = pendulum(mu=mu)
+        traj = self.smooth_trajectory(sys, start, t_end)
+        [(ts, thetas)] = reconstruct_cyclic(sys, traj, theta0=0.0)
+        dense = traj.segments[0].dense
+        ref = solve_ivp(
+            lambda t, th: [mu / sys.base.cyclic_inertia(dense(t)[:1])],
+            (ts[0], ts[-1]), [0.0], method="DOP853", rtol=1e-13, atol=1e-13,
+            t_eval=ts)
+        assert np.max(np.abs(thetas - ref.y[0])) <= 1e-9
+
     def test_slip_piecewise_constant_rate(self):
         params = rs.SlipParams(kappa=50.0, l0=1.0, inertia=1.0, mu=2.0)
         spec = rs.slip_hybrid_spec(params)
