@@ -23,6 +23,7 @@ from .models import (
 )
 
 SEARCH_T_MAX = 5.0
+SEARCH_TOL = 1e-10   # integration tolerance of both searches
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ CERTIFIED_CONTROLLED = CertifiedControlledTuple(
 CONTROLLED_IMPACT_ANGLES = (0.4, 0.6, 0.8)
 
 
-def search_slip_tuple(tol: float = 1e-10):
+def search_slip_tuple():
     """Scan the stance parameter box for the first guard-reaching seed.
 
     Grid: kappa 50..500 step 50, xi* 0.80..0.98 step 0.02, phidot* 0..3
@@ -106,7 +107,7 @@ def search_slip_tuple(tol: float = 1e-10):
                 seed = np.array([xi_star, 0.0, 0.0, phidot_star])
                 try:
                     _, event = integrate_segment(spec, seed, 0.0,
-                                                 SEARCH_T_MAX, tol=tol)
+                                                 SEARCH_T_MAX, tol=SEARCH_TOL)
                 except HybridError:
                     continue
                 if event is None:
@@ -121,7 +122,7 @@ def search_slip_tuple(tol: float = 1e-10):
     raise RuntimeError("no guard-reaching tuple in the search box")
 
 
-def search_controlled_tuple(tol: float = 1e-10):
+def search_controlled_tuple():
     """Scan constraint shapes for the first closing on-manifold orbit.
 
     Grid: c0 0.80..0.95 step 0.05, c2 0.05..0.30 step 0.05, touchdown-angle
@@ -143,7 +144,8 @@ def search_controlled_tuple(tol: float = 1e-10):
                     seed = np.array([c0, 0.0, 0.0, phidot_star])
                     try:
                         orbit = periodic_orbit_on_manifold(
-                            spec, sym, manifold, seed, SEARCH_T_MAX, tol=tol)
+                            spec, sym, manifold, seed, SEARCH_T_MAX,
+                            tol=SEARCH_TOL)
                     except (HybridError, RuntimeError, ValueError):
                         continue
                     return CertifiedControlledTuple(

@@ -60,21 +60,20 @@ def _load_scenario(args):
     return sc
 
 
-def _summarize(report, stream=None):
-    stream = sys.stdout if stream is None else stream
-    print(f"task: {report.task}", file=stream)
+def _summarize(report):
+    print(f"task: {report.task}")
     for key, value in report.results.items():
         if key in ("jacobian",):
             continue
-        print(f"  {key}: {value}", file=stream)
+        print(f"  {key}: {value}")
     for check in report.checks:
         status = "pass" if check["passed"] else "FAIL"
         print(f"  check {check['name']}: {status} "
               f"(residual {check['residual']:.3e}, "
-              f"tolerance {check['tolerance']:.1e})", file=stream)
+              f"tolerance {check['tolerance']:.1e})")
     if report.impact_times:
-        print(f"  impacts: {len(report.impact_times)}", file=stream)
-    print(f"  wall_seconds: {report.wall_seconds:.3f}", file=stream)
+        print(f"  impacts: {len(report.impact_times)}")
+    print(f"  wall_seconds: {report.wall_seconds:.3f}")
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,11 @@ from .hybrid import HybridSystemSpec, _brent, as_state
 from .routh import RouthianSystem
 from .symmetry import PeriodicOrbit, ReversalSymmetry, construct_periodic_orbit
 
+ON_MANIFOLD_TOL = 1e-6  # |xi - h(phi)| along a closed-loop orbit
+INVARIANCE_TOL = 1e-9   # constraint defects of the reset guard slice
+PHI_BRACKET = (1e-6, np.pi / 2 - 1e-6)   # angles searched for the guard slice
+PHIDOT_SAMPLES = (-2.0, -0.5, 0.5, 2.0)  # angular rates reset on the slice
+
 
 class GeometricDegeneracyError(RuntimeError):
     """The constraint length h(phi) is not positive where it is needed."""
@@ -137,23 +142,19 @@ def gamma_compatibility(
     return worst
 
 
-def hybrid_invariance_check(
-    manifold: ZeroDynamicsManifold,
-    guard: Callable[[np.ndarray], float],
-    reset: Callable[[np.ndarray], np.ndarray],
-    phi_bracket: tuple = (1e-6, np.pi / 2 - 1e-6),
-    phidot_samples: Sequence[float] = (-2.0, -0.5, 0.5, 2.0),
-    tol: float = 1e-9,
-):
+def hybrid_invariance_check(manifold: ZeroDynamicsManifold,
+                            guard: Callable[[np.ndarray], float],
+                            reset: Callable[[np.ndarray], np.ndarray]):
     """Does the reset map the manifold's guard slice back into the manifold?
 
-    Solves guard(embed(phi, .)) = 0 for phi by bracketed root-finding, resets
-    samples of the slice, and checks both manifold constraints on the images.
+    Solves guard(embed(phi, .)) = 0 for phi in PHI_BRACKET by bracketed
+    root-finding, resets the slice at PHIDOT_SAMPLES, and checks both
+    manifold constraints on the images against INVARIANCE_TOL.
     Returns (ok, worst_witness) with the witness carrying the offending state
     and residual, or None when invariant.
     """
     gfun = lambda phi: float(guard(manifold.embed(phi, 0.0)))
-    lo, hi = phi_bracket
+    lo, hi = PHI_BRACKET
     grid = np.linspace(lo, hi, 64)
     vals = [gfun(p) for p in grid]
     roots = []
@@ -171,7 +172,7 @@ def hybrid_invariance_check(
     worst = None
     worst_res = 0.0
     for phi_w in roots:
-        for phidot in phidot_samples:
+        for phidot in PHIDOT_SAMPLES:
             w = manifold.embed(phi_w, phidot)
             image = as_state(reset(w))
             pos_res, vel_res = manifold.residuals(image)
@@ -181,7 +182,7 @@ def hybrid_invariance_check(
                 worst = {"pre": w, "post": image,
                          "position_residual": pos_res,
                          "velocity_residual": vel_res}
-            if res > tol:
+            if res > INVARIANCE_TOL:
                 ok = False
     return ok, (None if ok else worst)
 
@@ -193,8 +194,6 @@ def periodic_orbit_on_manifold(
     seed,
     t_max: float,
     tol: float = 1e-10,
-    on_manifold_tol: float = 1e-6,
-    closure_tol: float = 1e-6,
 ) -> PeriodicOrbit:
     """Symmetric periodic orbit of the closed loop, certified to stay on manifold."""
     s0 = as_state(seed)
@@ -203,13 +202,12 @@ def periodic_orbit_on_manifold(
         raise ValueError(
             f"seed is off the zero-dynamics manifold: position defect "
             f"{pos_res:.3e}, velocity defect {vel_res:.3e}")
-    orbit = construct_periodic_orbit(closed_loop, sym, s0, t_max,
-                                     tol=tol, closure_tol=closure_tol)
+    orbit = construct_periodic_orbit(closed_loop, sym, s0, t_max, tol=tol)
     worst = 0.0
     for seg in orbit.trajectory.segments:
         for y in seg.y:
             worst = max(worst, abs(manifold.residuals(y)[0]))
-    if worst > on_manifold_tol:
+    if worst > ON_MANIFOLD_TOL:
         raise RuntimeError(
             f"trajectory escaped the manifold: max |xi - h(phi)| = {worst:.3e}")
     return orbit

@@ -65,7 +65,6 @@ def pendulum_system(params: PendulumParams) -> MechanicalSystem:
         mass_shape=lambda x: np.array([[m]]),
         inertia_cyclic=lambda x: m * float(x[0]) ** 2,
         potential=lambda x: 0.5 * k * float(x[0]) ** 2,
-        names=("r",),
     )
 
 
@@ -99,7 +98,6 @@ def slip_mechanical(params: SlipParams) -> MechanicalSystem:
         inertia_cyclic=lambda x: inertia,
         potential=lambda x: (m * g * float(x[0]) * np.cos(float(x[1]))
                              + 0.5 * kappa * (float(x[0]) - l0) ** 2),
-        names=("xi", "phi"),
     )
 
 
@@ -164,8 +162,7 @@ def slip_reset(params: SlipParams):
     return lambda s: np.array([l0, -phi0, -s[2], s[3]])
 
 
-def slip_hybrid_spec(params: SlipParams, u_feedback=None,
-                     max_impacts: int = 10_000) -> HybridSystemSpec:
+def slip_hybrid_spec(params: SlipParams, u_feedback=None) -> HybridSystemSpec:
     """Hybrid stance system; u_feedback(state) -> scalar adds actuation.
 
     Without feedback the spec carries the closed-form field Jacobian; with
@@ -180,7 +177,7 @@ def slip_hybrid_spec(params: SlipParams, u_feedback=None,
     jac = partial(slip_field_jacobian, params) if u_feedback is None else None
     return HybridSystemSpec(vector_field=field, guard=slip_guard(params),
                             reset=slip_reset(params), guard_direction=RISING,
-                            max_impacts=max_impacts, vector_field_jacobian=jac)
+                            vector_field_jacobian=jac)
 
 
 def slip_system(params: SlipParams):

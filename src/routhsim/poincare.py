@@ -68,6 +68,8 @@ def make_section(anchor, normal, chart: Optional[np.ndarray] = None,
     """Assemble a section; the chart defaults to an orthonormal complement."""
     a = as_state(anchor)
     n = np.asarray(normal, dtype=float)
+    if not (np.all(np.isfinite(n)) and np.any(n != 0.0)):
+        raise ValueError("section normal must be finite and nonzero")
     n = n / np.linalg.norm(n)
     if chart is None:
         # Null space of n^T via full SVD.
@@ -84,15 +86,14 @@ def make_section(anchor, normal, chart: Optional[np.ndarray] = None,
                            crossing_direction=crossing_direction)
 
 
-def transversal_section(field, anchor,
-                        crossing_direction: str = RISING) -> PoincareSection:
+def transversal_section(field, anchor) -> PoincareSection:
     """Default section: the hyperplane orthogonal to the flow at the anchor."""
     a = as_state(anchor)
     x = np.asarray(field(a), dtype=float)
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ValueError("flow vanishes at the anchor; no transversal hyperplane")
-    return make_section(a, x / norm, crossing_direction=crossing_direction)
+    return make_section(a, x / norm)
 
 
 def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
@@ -105,7 +106,7 @@ def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
 
 
 def _cycle(spec: HybridSystemSpec, section: PoincareSection, start, reset,
-           t_max: float, tol: float, require_impact: bool, max_cycles: int):
+           t_max: float, tol: float, require_impact: bool):
     """Flow and reset from `start` until the section is crossed; the hit state.
 
     The section is read from the first section.anchor.size entries of the
@@ -120,7 +121,7 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start, reset,
 
     state = start
     t = 0.0
-    for impacts in range(max_cycles + 1):
+    for impacts in range(MAX_CYCLES + 1):
         watch = None
         if impacts > 0 or not require_impact:
             # Ignore the immediate departure from the section itself.
@@ -134,7 +135,7 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start, reset,
                 f"after {impacts} impact(s)")
         state = reset(event)
         t = event.time
-    raise NoReturnError(f"no section return within {max_cycles} hybrid cycles")
+    raise NoReturnError(f"no section return within {MAX_CYCLES} hybrid cycles")
 
 
 def return_map(
@@ -144,7 +145,6 @@ def return_map(
     t_max: float = 20.0,
     tol: float = 1e-10,
     require_impact: bool = True,
-    max_cycles: int = MAX_CYCLES,
 ) -> np.ndarray:
     """One full hybrid cycle from a chart point back to the section.
 
@@ -155,7 +155,7 @@ def return_map(
         return apply_reset(spec, event.pre_state, event.guard_residual)
 
     hit = _cycle(spec, section, section.lift(chart_point), reset, t_max, tol,
-                 require_impact, max_cycles)
+                 require_impact)
     return section.to_chart(hit)
 
 
@@ -215,7 +215,7 @@ def jacobian(
     start = np.concatenate([section.anchor, np.eye(n).ravel()])
     try:
         hit = _cycle(_variational_spec(spec, n), section, start, reset, t_max,
-                     tol, require_impact, MAX_CYCLES)
+                     tol, require_impact)
         x, phi = hit[:n], hit[n:].reshape(n, n)
         f = np.asarray(spec.vector_field(x), dtype=float)
         rate = float(section.normal @ f)
@@ -254,12 +254,12 @@ def eigenvalues(matrix) -> np.ndarray:
     return vals[order]
 
 
-def numerical_rank(matrix, rel_tol: float = RANK_RTOL) -> int:
-    """Rank by singular values above rel_tol times the largest."""
+def numerical_rank(matrix) -> int:
+    """Rank by singular values above RANK_RTOL times the largest."""
     svals = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
 def reset_jacobian(spec: HybridSystemSpec, state) -> np.ndarray:
@@ -278,38 +278,30 @@ class StabilityReport:
     classification: str
 
 
-def check_spectral_bounds(eigvals, r: int, beta: int, n_minus_1: int,
-                          tol0: float = TOL_LAMBDA0,
-                          tol1: float = TOL_LAMBDA1):
+def check_spectral_bounds(eigvals, r: int, beta: int, n_minus_1: int):
     """Lower bounds: at least (n-1-beta) zero eigenvalues and r unit ones."""
     moduli = np.abs(np.asarray(eigvals))
-    lam0 = int(np.sum(moduli <= tol0))
-    lam1 = int(np.sum(np.abs(moduli - 1.0) <= tol1))
+    lam0 = int(np.sum(moduli <= TOL_LAMBDA0))
+    lam1 = int(np.sum(np.abs(moduli - 1.0) <= TOL_LAMBDA1))
     return lam0 >= max(0, n_minus_1 - beta), lam1 >= max(0, r)
 
 
-def stability_report(
-    jac,
-    r: int,
-    beta: int,
-    n_minus_1: int,
-    tol0: float = TOL_LAMBDA0,
-    tol1: float = TOL_LAMBDA1,
-) -> StabilityReport:
+def stability_report(jac, r: int, beta: int, n_minus_1: int) -> StabilityReport:
     """Assemble eigenvalues, Lambda counts, bound flags and a classification."""
     jac = np.asarray(jac, dtype=float)
     vals = eigenvalues(jac)
     moduli = np.abs(vals)
-    lam0 = int(np.sum(moduli <= tol0))
-    lam1 = int(np.sum(np.abs(moduli - 1.0) <= tol1))
-    ok0, ok1 = check_spectral_bounds(vals, r, beta, n_minus_1, tol0, tol1)
+    lam0 = int(np.sum(moduli <= TOL_LAMBDA0))
+    lam1 = int(np.sum(np.abs(moduli - 1.0) <= TOL_LAMBDA1))
+    ok0, ok1 = check_spectral_bounds(vals, r, beta, n_minus_1)
 
-    non_unit = moduli[np.abs(moduli - 1.0) > tol1]
-    if np.all(moduli < 1.0 - 10.0 * tol1):
+    non_unit = moduli[np.abs(moduli - 1.0) > TOL_LAMBDA1]
+    if np.all(moduli < 1.0 - 10.0 * TOL_LAMBDA1):
         cls = ASYMPTOTICALLY_STABLE
-    elif np.any(moduli > 1.0 + tol1):
+    elif np.any(moduli > 1.0 + TOL_LAMBDA1):
         cls = UNSTABLE
-    elif lam1 == r and (non_unit.size == 0 or np.all(non_unit < 1.0 - 10.0 * tol1)):
+    elif lam1 == r and (non_unit.size == 0
+                        or np.all(non_unit < 1.0 - 10.0 * TOL_LAMBDA1)):
         cls = MARGINALLY_STABLE
     else:
         cls = DEGENERATE

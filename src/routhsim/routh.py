@@ -44,7 +44,6 @@ class MechanicalSystem:
     mass_shape: Callable[[np.ndarray], np.ndarray]
     inertia_cyclic: Callable[[np.ndarray], float]
     potential: Callable[[np.ndarray], float]
-    names: tuple = ()
 
     def __post_init__(self):
         if self.shape_dim < 1:
@@ -150,17 +149,12 @@ def momentum_sequence(mu0: float, impacts: Sequence, transition) -> list:
     return mus
 
 
-def reconstruct_cyclic(
-    sys: RouthianSystem,
-    traj: HybridTrajectory,
-    theta0: float,
-    mus: Optional[Sequence[float]] = None,
-    theta_jump=None,
-):
+def reconstruct_cyclic(sys: RouthianSystem, traj: HybridTrajectory,
+                       theta0: float, mus: Optional[Sequence[float]] = None):
     """Lift a reduced trajectory back to the cyclic coordinate.
 
-    Integrates thetadot = mu_i / M_theta(x(t)) along each smooth segment,
-    applying the model's theta jump (default: continuity) at impacts. The
+    Integrates thetadot = mu_i / M_theta(x(t)) along each smooth segment;
+    theta is continuous across impacts. The
     integral over each knot interval is a 4-node Gauss-Legendre sum on the
     segment's own dense output, exact when M_theta is constant; its error
     is that of the reduced flow plus the rule's on a smooth integrand.
@@ -191,6 +185,4 @@ def reconstruct_cyclic(
             thetas[1:] += np.cumsum(mu_i * half * (inverse @ _GAUSS_WEIGHTS))
         out.append((seg.t.copy(), thetas))
         theta = float(thetas[-1])
-        if i < len(traj.segments) - 1 and theta_jump is not None:
-            theta = float(theta_jump(theta))
     return out

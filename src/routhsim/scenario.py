@@ -19,18 +19,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import certified, models, poincare
-from .control import hybrid_invariance_check, periodic_orbit_on_manifold
+from . import certified, control, models, poincare, symmetry
 from .hybrid import HybridSystemSpec, run_hybrid
 from .routh import routh_vector_field, routhian_eval
-from .symmetry import (
-    construct_periodic_orbit,
-    involution_residual,
-    reversibility_residual,
-)
-
-MODELS = ("pendulum", "slip", "controlled_slip")
-TASKS = ("simulate", "periodic_orbit", "poincare", "zero_dynamics", "check_suite")
 
 _PARAM_KEYS = {
     "pendulum": ("m", "k", "mu"),
@@ -42,6 +33,7 @@ _STATE_NAMES = {
     "slip": ("xi", "phi", "xidot", "phidot"),
     "controlled_slip": ("xi", "phi", "xidot", "phidot"),
 }
+MODELS = tuple(_PARAM_KEYS)
 
 FLOAT_FMT = "%.17g"
 
@@ -90,8 +82,12 @@ class Scenario:
     outputs: Outputs = Outputs()
 
     def __post_init__(self):
+        if self.model not in MODELS:
+            raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.task not in TASKS:
             raise ScenarioError(f"task must be one of {TASKS}, got {self.task!r}")
+        _check_mapping(self.params, _PARAM_KEYS[self.model],
+                       f"params ({self.model})")
         for key, value in self.params.items():
             if not math.isfinite(value):
                 raise ScenarioError(f"params.{key} must be finite")
@@ -174,14 +170,12 @@ def parse_scenario(text) -> Scenario:
     _check_mapping(doc, ("model", "task", "params", "seed", "numerics", "outputs"),
                    "scenario")
 
-    model = doc.get("model")
-    if model not in MODELS:
-        raise ScenarioError(f"model must be one of {MODELS}, got {model!r}")
-
-    raw_params = _check_mapping(doc.get("params"), _PARAM_KEYS[model],
-                                f"params ({model})")
-    params = {key: _number(float, value, f"params.{key}")
-              for key, value in raw_params.items() if value is not None}
+    params = doc.get("params")
+    if params is None:
+        params = {}
+    elif isinstance(params, dict):
+        params = {key: _number(float, value, f"params.{key}")
+                  for key, value in params.items() if value is not None}
 
     seed = doc.get("seed")
     if seed is not None:
@@ -189,7 +183,8 @@ def parse_scenario(text) -> Scenario:
             raise ScenarioError("seed must be a list of numbers")
         seed = tuple(_number(float, v, f"seed[{i}]") for i, v in enumerate(seed))
 
-    return Scenario(model=model, task=doc.get("task"), params=params, seed=seed,
+    return Scenario(model=doc.get("model"), task=doc.get("task"),
+                    params=params, seed=seed,
                     numerics=_settings(Numerics, doc.get("numerics"), "numerics"),
                     outputs=_settings(Outputs, doc.get("outputs"), "outputs"))
 
@@ -254,12 +249,12 @@ def _orbit(sc: Scenario):
     """The symmetric periodic orbit from the scenario's seed."""
     num, sym, seed = sc.numerics, models.slip_symmetry(), _default_seed(sc)
     if sc.model == "slip":
-        return construct_periodic_orbit(_spec(sc), sym, seed, num.t_max,
-                                        tol=num.tol)
+        return symmetry.construct_periodic_orbit(_spec(sc), sym, seed,
+                                                 num.t_max, tol=num.tol)
     if sc.model == "controlled_slip":
         manifold = models.quadratic_constraint(_controlled(sc)[1])
-        return periodic_orbit_on_manifold(_spec(sc), sym, manifold, seed,
-                                          num.t_max, tol=num.tol)
+        return control.periodic_orbit_on_manifold(_spec(sc), sym, manifold,
+                                                  seed, num.t_max, tol=num.tol)
     raise ScenarioError(f"{sc.task} requires the slip or controlled_slip model")
 
 
@@ -316,8 +311,9 @@ def _task_periodic_orbit(sc: Scenario):
     results = {"seed": orbit.seed, "half_period": orbit.half_period,
                "closure_residual": orbit.closure_residual,
                "time_symmetry_residual": orbit.time_symmetry_residual}
-    checks = [_check("closure", orbit.closure_residual, 1e-6),
-              _check("time_symmetry", orbit.time_symmetry_residual, 1e-6)]
+    checks = [_check("closure", orbit.closure_residual, symmetry.CLOSURE_TOL),
+              _check("time_symmetry", orbit.time_symmetry_residual,
+                     symmetry.CLOSURE_TOL)]
     return results, checks, orbit.trajectory
 
 
@@ -362,7 +358,7 @@ def _task_zero_dynamics(sc: Scenario):
                        - models.feedback_u_star(manifold, params, -phi, pd))
                    for phi, pd in rng.uniform([-1.2, -3.0], [1.2, 3.0],
                                               size=(100, 2)))
-    invariant, witness = hybrid_invariance_check(
+    invariant, witness = control.hybrid_invariance_check(
         manifold, models.slip_guard(params), models.slip_reset(params))
     on_manifold = max(abs(manifold.residuals(y)[0])
                       for seg in orbit.trajectory.segments for y in seg.y)
@@ -373,11 +369,11 @@ def _task_zero_dynamics(sc: Scenario):
                "hybrid_invariant": bool(invariant),
                "invariance_witness": witness}
     checks = [_check("u_star_evenness", evenness, 1e-12),
-              _check("on_manifold", on_manifold, 1e-6),
-              _check("closure", orbit.closure_residual, 1e-6),
+              _check("on_manifold", on_manifold, control.ON_MANIFOLD_TOL),
+              _check("closure", orbit.closure_residual, symmetry.CLOSURE_TOL),
               {"name": "hybrid_invariance", "passed": bool(invariant),
                "residual": 0.0 if invariant else float("nan"),
-               "tolerance": 1e-9}]
+               "tolerance": control.INVARIANCE_TOL}]
     return results, checks, orbit.trajectory
 
 
@@ -397,12 +393,12 @@ def _task_check_suite(sc: Scenario):
     d = sys.base.shape_dim
     inv = rev = routh = 0.0
     for s in rng.uniform(lo, hi, size=(1000, 2 * d)):
-        inv = max(inv, involution_residual(sym, s))
-        rev = max(rev, reversibility_residual(sym, f, s))
+        inv = max(inv, symmetry.involution_residual(sym, s))
+        rev = max(rev, symmetry.reversibility_residual(sym, f, s))
         img = sym.phi(s)
         routh = max(routh, abs(routhian_eval(sys, img[:d], img[d:])
                                - routhian_eval(sys, s[:d], s[d:])))
-    checks = [_check("involution", inv, 1e-10),
+    checks = [_check("involution", inv, symmetry.INVOLUTION_TOL),
               _check("reversibility", rev, 1e-8),
               _check("routhian_invariance", routh, 1e-12)]
     results = {"samples": 1000, "involution_residual": inv,
@@ -418,6 +414,7 @@ _TASKS = {
     "zero_dynamics": _task_zero_dynamics,
     "check_suite": _task_check_suite,
 }
+TASKS = tuple(_TASKS)
 
 
 def run(sc: Scenario, out_dir=".") -> RunReport:

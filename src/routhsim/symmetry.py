@@ -21,7 +21,12 @@ from .hybrid import (
     integrate_segment,
 )
 
-INVOLUTION_TOL = 1e-10
+INVOLUTION_TOL = 1e-10   # sup-norm of phi(phi(s)) - s
+FIXED_POINT_TOL = 1e-9   # sup-norm of phi(s) - s at a seed
+RESET_MATCH_TOL = 1e-9   # sup-norm of reset - phi at the impact state
+CLOSURE_TOL = 1e-6       # closure residual, relative to max(1, amplitude)
+NEWTON_TOL = 1e-12       # sup-norm of F(q) - q after refinement
+NEWTON_MAX_ITER = 50
 EIG_MARGIN = 0.1  # required separation of dF eigenvalues from the +-1 ambiguity
 
 
@@ -83,9 +88,9 @@ def reversibility_residual(sym: ReversalSymmetry, field, state) -> float:
     return float(np.max(np.abs(lhs + rhs)))
 
 
-def is_fixed_point(sym: ReversalSymmetry, state, tol: float = 1e-9) -> bool:
+def is_fixed_point(sym: ReversalSymmetry, state) -> bool:
     s = as_state(state)
-    return float(np.max(np.abs(sym.phi(s) - s))) <= tol
+    return float(np.max(np.abs(sym.phi(s) - s))) <= FIXED_POINT_TOL
 
 
 @dataclass(frozen=True)
@@ -97,21 +102,16 @@ class FixedPointManifold:
     basis: np.ndarray  # state-space columns, orthonormal
 
 
-def fixed_point_manifold(
-    sym: ReversalSymmetry,
-    q_seed,
-    newton_tol: float = 1e-12,
-    max_iter: int = 50,
-) -> FixedPointManifold:
+def fixed_point_manifold(sym: ReversalSymmetry, q_seed) -> FixedPointManifold:
     """Dimension and tangent basis of the fixed-point set near q_seed.
 
     Position directions span the kernel of (dF - I); velocity directions the
     eigenspace of dF at -1. Gauss-Newton refines q_seed onto F(q) = q first.
     """
     q = np.asarray(q_seed, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res = np.asarray(sym.F(q), dtype=float) - q
-        if np.max(np.abs(res)) <= newton_tol:
+        if np.max(np.abs(res)) <= NEWTON_TOL:
             break
         J = sym.config_jacobian(q) - np.eye(q.size)
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
@@ -157,16 +157,9 @@ class PeriodicOrbit:
     time_symmetry_residual: float
 
 
-def construct_periodic_orbit(
-    spec: HybridSystemSpec,
-    sym: ReversalSymmetry,
-    seed,
-    t_max: float,
-    tol: float = 1e-10,
-    closure_tol: float = 1e-6,
-    reset_match_tol: float = 1e-9,
-    fixed_point_tol: float = 1e-9,
-) -> PeriodicOrbit:
+def construct_periodic_orbit(spec: HybridSystemSpec, sym: ReversalSymmetry,
+                             seed, t_max: float,
+                             tol: float = 1e-10) -> PeriodicOrbit:
     """Build the symmetric periodic orbit through a fixed point of phi.
 
     Flows from the seed to the first impact at t1, applies the reset (which
@@ -179,7 +172,7 @@ def construct_periodic_orbit(
     the reset mismatch.
     """
     s0 = as_state(seed)
-    if not is_fixed_point(sym, s0, tol=fixed_point_tol):
+    if not is_fixed_point(sym, s0):
         raise ValueError("seed is not a fixed point of the reversal symmetry")
 
     seg1, event = integrate_segment(spec, s0, 0.0, t_max, tol=tol)
@@ -189,7 +182,7 @@ def construct_periodic_orbit(
     phi_pre = sym.phi(event.pre_state)
     reset_pre = as_state(spec.reset(event.pre_state))
     mismatch = float(np.max(np.abs(phi_pre - reset_pre)))
-    if mismatch > reset_match_tol:
+    if mismatch > RESET_MATCH_TOL:
         raise ResetMismatchError(
             f"reset differs from the symmetry at the impact state by {mismatch:.3e}")
     post = apply_reset(spec, event.pre_state, event.guard_residual)
@@ -203,10 +196,10 @@ def construct_periodic_orbit(
 
     amplitude = max(1.0, float(np.max(np.abs(seg1.y))))
     closure = float(np.linalg.norm(seg2.y[-1] - s0))
-    if closure > closure_tol * amplitude:
+    if closure > CLOSURE_TOL * amplitude:
         raise ClosureError(
             f"orbit closure residual {closure:.3e} exceeds "
-            f"{closure_tol * amplitude:.3e}")
+            f"{CLOSURE_TOL * amplitude:.3e}")
 
     mirrored = seg2.dense(2.0 * t1 - seg1.t).T
     sym_res = float(max(np.max(np.abs(sym.phi(yk) - gk))

@@ -80,6 +80,18 @@ class TestSectionGeometry:
             make_section([0.0, 0.0], [1.0, 0.0],
                          chart=np.array([[1.0], [0.0]]))
 
+    @pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0, 0.0],
+                                        [0.0, np.nan, 0.0, 0.0],
+                                        [0.0, np.inf, 0.0, 0.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_degenerate_normal_rejected(self, normal):
+        chart = np.column_stack([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                 [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="normal must be finite and nonzero"):
+            make_section(CERT.seed, normal, chart=chart)
+        with pytest.raises(ValueError, match="normal must be finite and nonzero"):
+            make_section(CERT.seed, normal)
+
 
 class TestReturnMap:
     def test_certified_anchor_returns_to_itself(self):

@@ -7,10 +7,12 @@ import pytest
 import yaml
 
 import routhsim as rs
+from routhsim import control, symmetry
 from routhsim.scenario import (
     TASKS,
     Numerics,
     Outputs,
+    Scenario,
     ScenarioError,
     parse_scenario,
     run,
@@ -147,6 +149,16 @@ class TestParsing:
         sc = parse_scenario({"model": "slip", "task": "simulate"})
         assert sc.model == "slip"
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"model": "pendulm", "task": "simulate"}, "model must be one of"),
+        ({"model": "slip", "task": "periodic_orbit", "params": {"kapa": 60.0}},
+         "unknown key 'kapa' in params"),
+    ], ids=["model", "params_key"])
+    def test_direct_construction_validated_like_parsing(self, kwargs, message):
+        # A misspelt model or parameter key must not fall back to a default.
+        with pytest.raises(ScenarioError, match=message):
+            Scenario(**kwargs)
+
 
 class TestRoundTrip:
     def test_echo_reparses_to_same_scenario(self):
@@ -169,6 +181,22 @@ class TestRoundTrip:
         again = parse_scenario(echoed)
         assert again == sc
         assert scenario_to_dict(again) == echoed
+
+    def test_check_tolerances_are_the_library_constants(self, tmp_path):
+        expected = {"closure": symmetry.CLOSURE_TOL,
+                    "on_manifold": control.ON_MANIFOLD_TOL,
+                    "hybrid_invariance": control.INVARIANCE_TOL,
+                    "involution": symmetry.INVOLUTION_TOL}
+        seen = {}
+        for stem in ("slip_periodic_orbit", "controlled_zero_dynamics",
+                     "slip_check_suite"):
+            sc = parse_scenario(next(p for p in SCENARIOS if p.stem == stem)
+                                .read_text())
+            report = run(sc, out_dir=str(tmp_path / stem))
+            for check in report.checks:
+                if check["name"] in expected:
+                    seen.setdefault(check["name"], set()).add(check["tolerance"])
+        assert seen == {name: {tol} for name, tol in expected.items()}
 
     def test_committed_scenarios_cover_every_task(self):
         tasks = {yaml.safe_load(p.read_text())["task"] for p in SCENARIOS}
