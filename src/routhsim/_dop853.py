@@ -229,6 +229,9 @@ D[3, 15] = -0.14972683625798562581422125276e+3
 # rows of the 3 extra stages for the dense output.
 A = _A[:N_STAGES, :N_STAGES]
 A_EXTRA = _A[N_STAGES + 1:]
+# All 16 rows, strictly lower triangular: stage s of a step from y is taken
+# at y + h * A_FULL[s] @ K. Row N_STAGES is B, at the step's end.
+A_FULL = _A
 
 
 def _norm(x):

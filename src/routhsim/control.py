@@ -19,6 +19,8 @@ from .symmetry import PeriodicOrbit, ReversalSymmetry, construct_periodic_orbit
 
 ON_MANIFOLD_TOL = 1e-6  # |xi - h(phi)| along a closed-loop orbit
 INVARIANCE_TOL = 1e-9   # constraint defects of the reset guard slice
+SEED_ON_MANIFOLD_TOL = 1e-9  # position and velocity defects of an orbit seed
+U_STAR_EVENNESS_TOL = 1e-12  # |u*(phi, phidot) - u*(-phi, phidot)|
 PHI_BRACKET = (1e-6, np.pi / 2 - 1e-6)   # angles searched for the guard slice
 PHIDOT_SAMPLES = (-2.0, -0.5, 0.5, 2.0)  # angular rates reset on the slice
 
@@ -198,7 +200,7 @@ def periodic_orbit_on_manifold(
     """Symmetric periodic orbit of the closed loop, certified to stay on manifold."""
     s0 = as_state(seed)
     pos_res, vel_res = manifold.residuals(s0)
-    if max(abs(pos_res), abs(vel_res)) > 1e-9:
+    if max(abs(pos_res), abs(vel_res)) > SEED_ON_MANIFOLD_TOL:
         raise ValueError(
             f"seed is off the zero-dynamics manifold: position defect "
             f"{pos_res:.3e}, velocity defect {vel_res:.3e}")

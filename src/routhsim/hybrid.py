@@ -285,7 +285,7 @@ def _root(fn, dense, t_lo: float, t_hi: float, f_hi: float) -> float:
 
 
 def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
-          tol: float, watch=None):
+          tol: float, watch=None, record=None):
     """Step DOP853 from `start` and stop at the first wanted crossing.
 
     The step is scipy's DOP853 inlined: its tableau, initial step, error
@@ -303,7 +303,9 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
     watch = (fn, direction, t_min), a wanted sign change of fn on a sample
     pair starting at or after t_min. Returns (Segment, ImpactEvent or None,
     watch hit as (time, state) or None); a watch hit later than the impact
-    in the same step is dropped.
+    in the same step is dropped. When `record` is a list, each accepted step
+    appends (t_old, h, y_old, K) to it, K a copy of the step's 16 stage
+    derivatives (rows as in `_dop853.A_FULL`); the flow itself is unchanged.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -378,6 +380,8 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         F[1] = h * K[0] - delta
         F[2] = 2 * delta - h * (K[_STAGES] + K[0])
         F[3:] = h * np.dot(_dop853.D, K)
+        if record is not None:
+            record.append((t, h, y, K.copy()))
         K[0] = K[_STAGES]
         step = DenseStep(t, t_new, y, F)
         steps.append(step)

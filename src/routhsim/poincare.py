@@ -2,22 +2,25 @@
 
 The section is a co-dimension-one hyperplane through the orbit's symmetry
 fixed point; the return map runs one full hybrid cycle (flow, reset, flow)
-and projects back to chart coordinates. Its Jacobian is exact up to the
-integration tolerance: the variational equations are flowed alongside the
-state, each impact multiplies the sensitivity by its saltation matrix, and
-the return is projected along the flow onto the section. Its eigenvalues are
-checked against the reset-rank and symmetry lower bounds.
+and projects back to chart coordinates. Its Jacobian comes from internal
+numerical differentiation (Bock, 1981): the state is flowed once, and the
+sensitivity is carried through the stages of the state's own accepted
+DOP853 steps with no error control of its own, so it is the derivative of
+the computed flow with its step sizes frozen. On the last step of each leg
+it is the derivative of the dense output at the stop. Each impact
+multiplies the sensitivity by its saltation matrix, and the return is
+projected along the flow onto the section. The eigenvalues are checked
+against the reset-rank and symmetry lower bounds.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _fd
+from . import _dop853, _fd
 from .hybrid import (
     RISING,
     TANGENT_TOL,
@@ -34,6 +37,13 @@ MAX_CYCLES = 4  # hybrid cycles a return may take
 TOL_LAMBDA0 = 1e-4
 TOL_LAMBDA1 = 1e-4
 RANK_RTOL = 1e-8
+EIGEN_RESIDUAL_RTOL = 1e-8  # sigma_min(A - lambda I), relative to ||A||_2
+CHART_TOL = 1e-10  # orthonormality of a section chart and its normal defect
+
+# The DOP853 tableau with the step's end and extra stages (Hairer, Norsett &
+# Wanner, Solving ODEs I, Sec. II.5-II.6); rows 0.._STAGES - 1 make a step.
+_TABLEAU = _dop853.A_FULL
+_STAGES = _dop853.N_STAGES
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 MARGINALLY_STABLE = "marginally_stable"
@@ -78,9 +88,9 @@ def make_section(anchor, normal, chart: Optional[np.ndarray] = None,
     chart = np.asarray(chart, dtype=float)
     if chart.shape != (a.size, a.size - 1):
         raise ValueError(f"chart must be {a.size}x{a.size - 1}")
-    if np.max(np.abs(chart.T @ chart - np.eye(a.size - 1))) > 1e-10:
+    if np.max(np.abs(chart.T @ chart - np.eye(a.size - 1))) > CHART_TOL:
         raise ValueError("chart columns must be orthonormal")
-    if np.max(np.abs(chart.T @ n)) > 1e-10:
+    if np.max(np.abs(chart.T @ n)) > CHART_TOL:
         raise ValueError("chart columns must be orthogonal to the normal")
     return PoincareSection(anchor=a, normal=n, chart=chart,
                            crossing_direction=crossing_direction)
@@ -105,19 +115,20 @@ def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
     return math.inf if event is None else event.time
 
 
-def _cycle(spec: HybridSystemSpec, section: PoincareSection, start, reset,
-           t_max: float, tol: float, require_impact: bool):
+def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
+           t_max: float, tol: float, require_impact: bool, legs=None):
     """Flow and reset from `start` until the section is crossed; the hit state.
 
-    The section is read from the first section.anchor.size entries of the
-    flowed state, and reset(event) gives the state that resumes the flow
-    after each impact. With require_impact a crossing only counts after at
-    least one reset has fired.
+    With require_impact a crossing only counts after at least one reset has
+    fired. When `legs` is a list, each smooth leg appends
+    (steps, t_stop, end, post) to it: `_flow`'s record of the leg's steps,
+    the time and state at which it stops, and the reset state that starts
+    the next leg (None for the leg that hits the section).
     """
-    n = section.anchor.size
+    normal, anchor = section.normal, section.anchor
 
     def offset(z):
-        return section.offset(z[:n])
+        return float(normal @ (z - anchor))
 
     state = start
     t = 0.0
@@ -126,14 +137,19 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start, reset,
         if impacts > 0 or not require_impact:
             # Ignore the immediate departure from the section itself.
             watch = (offset, section.crossing_direction, t + 1e-9)
-        _, event, hit = _flow(spec, state, t, t + t_max, tol, watch)
+        steps = None if legs is None else []
+        _, event, hit = _flow(spec, state, t, t + t_max, tol, watch, steps)
         if hit is not None:
+            if legs is not None:
+                legs.append((steps, hit[0], hit[1], None))
             return hit[1]
         if event is None:
             raise NoReturnError(
                 f"no section return within t_max={t_max:g} "
                 f"after {impacts} impact(s)")
-        state = reset(event)
+        state = apply_reset(spec, event.pre_state, event.guard_residual)
+        if legs is not None:
+            legs.append((steps, event.time, event.pre_state, state))
         t = event.time
     raise NoReturnError(f"no section return within {MAX_CYCLES} hybrid cycles")
 
@@ -151,28 +167,54 @@ def return_map(
     By default a crossing only counts after at least one reset has fired, so
     the map is the flow -> reset -> flow composition of one stance cycle.
     """
-    def reset(event):
-        return apply_reset(spec, event.pre_state, event.guard_residual)
-
-    hit = _cycle(spec, section, section.lift(chart_point), reset, t_max, tol,
+    hit = _cycle(spec, section, section.lift(chart_point), t_max, tol,
                  require_impact)
     return section.to_chart(hit)
 
 
-def _variational_spec(spec: HybridSystemSpec, n: int) -> HybridSystemSpec:
-    """The flow of (x, Phi), Phi the n x n sensitivity, as one flat state.
+def _transition(dfield, steps, t_stop: float) -> np.ndarray:
+    """Derivative of one leg's computed flow, from its start to t_stop.
 
-    Its field is (f(x), Df(x) Phi); its guard reads x only.
+    `steps` is `_flow`'s record of the leg and t_stop lies on its last step.
+    With the step sizes frozen, each stage derivative K_s = f(Y_s),
+    Y_s = y + h sum_j a_sj K_j, has the derivative
+    G_s = Df(Y_s) (I + h sum_j a_sj G_j), and a step's is I + h sum_s b_s G_s.
+    The last step contributes the derivative of its dense output at t_stop,
+    whose rows are built as `_flow` builds F, from G at the step's end and
+    at the 3 extra stages.
     """
-    field, guard = spec.vector_field, spec.guard
-    dfield = spec.vector_field_jacobian or (lambda x: _fd.jacobian(field, x))
+    S = len(steps)
+    n = steps[0][2].size
+    eye = np.eye(n)
+    t_old, h, y, K = (np.array(c) for c in zip(*steps))
+    hh = h[:, None, None]
+    # Stage-major: Y[s, k] is stage s of step k.
+    Y = y + h[:, None] * np.einsum("sj,kjn->skn", _TABLEAU[:_STAGES], K)
+    J = np.array([dfield(v) for v in Y.reshape(-1, n)],
+                 dtype=float).reshape(_STAGES, S, n, n)
+    G = np.empty((_dop853.N_STAGES_EXTENDED, S, n, n))
+    G[0] = J[0]
+    for s in range(1, _STAGES):
+        inner = (_TABLEAU[s, :s] @ G[:s].reshape(s, -1)).reshape(S, n, n)
+        G[s] = J[s] @ (eye + hh * inner)
+    M = eye + hh * (_dop853.B @ G[:_STAGES].reshape(_STAGES, -1)).reshape(S, n, n)
 
-    def augmented(z):
-        x = z[:n]
-        return np.concatenate([field(x), (dfield(x) @ z[n:].reshape(n, n)).ravel()])
-
-    return dataclasses.replace(spec, vector_field=augmented,
-                               guard=lambda z: guard(z[:n]))
+    # The last step's end (row _STAGES, whose coefficients are B) and extra
+    # stages, for its dense output.
+    hl, yl, Kl, Gl = h[-1], y[-1], K[-1], G[:, -1]
+    for s in range(_STAGES, _dop853.N_STAGES_EXTENDED):
+        a = _TABLEAU[s, :s]
+        Gl[s] = (np.asarray(dfield(yl + hl * (a @ Kl[:s])), dtype=float)
+                 @ (eye + hl * np.tensordot(a, Gl[:s], 1)))
+    dF = np.empty((_dop853.INTERPOLATOR_POWER, n, n))
+    dF[0] = M[-1] - eye
+    dF[1] = hl * Gl[0] - dF[0]
+    dF[2] = 2 * dF[0] - hl * (Gl[_STAGES] + Gl[0])
+    dF[3:] = hl * np.tensordot(_dop853.D, Gl, 1)
+    phi = _dop853._horner(np.zeros((n, n)), dF, eye, (t_stop - t_old[-1]) / hl)
+    for m in M[-2::-1]:
+        phi = phi @ m
+    return phi
 
 
 def _saltation(spec: HybridSystemSpec, pre, post) -> np.ndarray:
@@ -195,29 +237,26 @@ def jacobian(
     tol: float = 1e-10,
     require_impact: bool = True,
 ) -> np.ndarray:
-    """Exact Jacobian of the return map at the anchor, in chart coordinates.
+    """Jacobian of the computed return map at the anchor, in chart coordinates.
 
-    One flow of the state and its sensitivity matrix Phi (the variational
-    equations), multiplied by the saltation matrix at each impact and
-    projected along the flow onto the section at the return:
-    chart^T (I - f n^T / (n . f)) Phi chart. The field's derivative is
-    spec.vector_field_jacobian, or central differences when that is unset.
+    Internal numerical differentiation (Bock, 1981): the state is flowed
+    once, as `return_map` flows it, and the sensitivity Phi is carried
+    through the stages of the state's own accepted DOP853 steps with no
+    error control of its own (`_transition`); on each leg's last step Phi is
+    the derivative of the dense output at the stop. Phi is multiplied by the
+    saltation matrix at each impact and projected along the flow onto the
+    section at the return: chart^T (I - f n^T / (n . f)) Phi chart. The
+    field's derivative is spec.vector_field_jacobian, or central differences
+    when that is unset.
     """
     n = section.anchor.size
-
-    def reset(event):
-        pre = event.pre_state[:n]
-        post = apply_reset(spec, pre, event.guard_residual)
-        phi = event.pre_state[n:].reshape(n, n)
-        return np.concatenate(
-            [post, (_saltation(spec, pre, post) @ phi).ravel()])
-
-    start = np.concatenate([section.anchor, np.eye(n).ravel()])
+    field = spec.vector_field
+    dfield = spec.vector_field_jacobian or (lambda x: _fd.jacobian(field, x))
+    legs = []
     try:
-        hit = _cycle(_variational_spec(spec, n), section, start, reset, t_max,
-                     tol, require_impact)
-        x, phi = hit[:n], hit[n:].reshape(n, n)
-        f = np.asarray(spec.vector_field(x), dtype=float)
+        x = _cycle(spec, section, section.anchor, t_max, tol, require_impact,
+                   legs)
+        f = np.asarray(field(x), dtype=float)
         rate = float(section.normal @ f)
         if abs(rate) < TANGENT_TOL:
             raise TangentialCrossingError(
@@ -225,6 +264,11 @@ def jacobian(
     except (NoReturnError, NoImpactError, TangentialCrossingError) as exc:
         raise RuntimeError(f"return map not differentiable at the anchor: "
                            f"{exc}") from exc
+    phi = np.eye(n)
+    for steps, t_stop, end, post in legs:
+        phi = _transition(dfield, steps, t_stop) @ phi
+        if post is not None:
+            phi = _saltation(spec, end, post) @ phi
     project = np.eye(n) - np.outer(f, section.normal) / rate
     return section.chart.T @ project @ phi @ section.chart
 
@@ -246,10 +290,10 @@ def eigenvalues(matrix) -> np.ndarray:
     for lam in vals:
         smin = np.linalg.svd(A - lam * np.eye(A.shape[0], dtype=complex),
                              compute_uv=False)[-1]
-        if smin > 1e-8 * scale:
+        if smin > EIGEN_RESIDUAL_RTOL * scale:
             raise RuntimeError(
                 f"eigenvalue residual check failed for {lam}: "
-                f"sigma_min={smin:.3e} > {1e-8 * scale:.3e}")
+                f"sigma_min={smin:.3e} > {EIGEN_RESIDUAL_RTOL * scale:.3e}")
     order = np.argsort(-np.abs(vals), kind="stable")
     return vals[order]
 

@@ -82,23 +82,35 @@ class Scenario:
     outputs: Outputs = Outputs()
 
     def __post_init__(self):
+        # The one validation site of parsing, direct construction and
+        # --seed-override; params and seed are stored cast to floats.
         if self.model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.task not in TASKS:
             raise ScenarioError(f"task must be one of {TASKS}, got {self.task!r}")
-        _check_mapping(self.params, _PARAM_KEYS[self.model],
-                       f"params ({self.model})")
-        for key, value in self.params.items():
+        context = f"params ({self.model})"
+        if not isinstance(self.params, dict):
+            raise ScenarioError(f"{context} must be a mapping")
+        _check_mapping(self.params, _PARAM_KEYS[self.model], context)
+        params = {key: _number(float, value, f"params.{key}")
+                  for key, value in self.params.items()}
+        for key, value in params.items():
             if not math.isfinite(value):
                 raise ScenarioError(f"params.{key} must be finite")
+        object.__setattr__(self, "params", params)
         if self.seed is not None:
+            if not isinstance(self.seed, (list, tuple)):
+                raise ScenarioError("seed must be a list of numbers")
+            seed = tuple(_number(float, v, f"seed[{i}]")
+                         for i, v in enumerate(self.seed))
             names = _STATE_NAMES[self.model]
-            if len(self.seed) != len(names):
+            if len(seed) != len(names):
                 raise ScenarioError(
                     f"seed must have {len(names)} entries ({', '.join(names)}) "
-                    f"for the {self.model} model, got {len(self.seed)}")
-            if not all(map(math.isfinite, self.seed)):
+                    f"for the {self.model} model, got {len(seed)}")
+            if not all(map(math.isfinite, seed)):
                 raise ScenarioError("seed must be finite")
+            object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -170,21 +182,15 @@ def parse_scenario(text) -> Scenario:
     _check_mapping(doc, ("model", "task", "params", "seed", "numerics", "outputs"),
                    "scenario")
 
+    # An absent or null parameter keeps its default; Scenario checks the rest.
     params = doc.get("params")
     if params is None:
         params = {}
     elif isinstance(params, dict):
-        params = {key: _number(float, value, f"params.{key}")
-                  for key, value in params.items() if value is not None}
-
-    seed = doc.get("seed")
-    if seed is not None:
-        if not isinstance(seed, (list, tuple)):
-            raise ScenarioError("seed must be a list of numbers")
-        seed = tuple(_number(float, v, f"seed[{i}]") for i, v in enumerate(seed))
+        params = {key: value for key, value in params.items() if value is not None}
 
     return Scenario(model=doc.get("model"), task=doc.get("task"),
-                    params=params, seed=seed,
+                    params=params, seed=doc.get("seed"),
                     numerics=_settings(Numerics, doc.get("numerics"), "numerics"),
                     outputs=_settings(Outputs, doc.get("outputs"), "outputs"))
 
@@ -368,7 +374,7 @@ def _task_zero_dynamics(sc: Scenario):
                "on_manifold_residual": on_manifold,
                "hybrid_invariant": bool(invariant),
                "invariance_witness": witness}
-    checks = [_check("u_star_evenness", evenness, 1e-12),
+    checks = [_check("u_star_evenness", evenness, control.U_STAR_EVENNESS_TOL),
               _check("on_manifold", on_manifold, control.ON_MANIFOLD_TOL),
               _check("closure", orbit.closure_residual, symmetry.CLOSURE_TOL),
               {"name": "hybrid_invariance", "passed": bool(invariant),
@@ -399,8 +405,9 @@ def _task_check_suite(sc: Scenario):
         routh = max(routh, abs(routhian_eval(sys, img[:d], img[d:])
                                - routhian_eval(sys, s[:d], s[d:])))
     checks = [_check("involution", inv, symmetry.INVOLUTION_TOL),
-              _check("reversibility", rev, 1e-8),
-              _check("routhian_invariance", routh, 1e-12)]
+              _check("reversibility", rev, symmetry.REVERSIBILITY_TOL),
+              _check("routhian_invariance", routh,
+                     symmetry.ROUTHIAN_INVARIANCE_TOL)]
     results = {"samples": 1000, "involution_residual": inv,
                "reversibility_residual": rev,
                "routhian_invariance_residual": routh}

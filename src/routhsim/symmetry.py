@@ -22,6 +22,8 @@ from .hybrid import (
 )
 
 INVOLUTION_TOL = 1e-10   # sup-norm of phi(phi(s)) - s
+REVERSIBILITY_TOL = 1e-8  # sup-norm of X(phi(s)) + dphi(s) X(s)
+ROUTHIAN_INVARIANCE_TOL = 1e-12  # |R(phi(s)) - R(s)|
 FIXED_POINT_TOL = 1e-9   # sup-norm of phi(s) - s at a seed
 RESET_MATCH_TOL = 1e-9   # sup-norm of reset - phi at the impact state
 CLOSURE_TOL = 1e-6       # closure residual, relative to max(1, amplitude)

@@ -1,7 +1,11 @@
 """Independent numerical oracles shared by the test modules."""
+import dataclasses
+
 import numpy as np
 
-from routhsim.poincare import return_map
+from routhsim import _fd
+from routhsim.hybrid import _flow, apply_reset
+from routhsim.poincare import MAX_CYCLES, _saltation, return_map
 
 
 def char_poly_coefficients(A):
@@ -35,3 +39,52 @@ def central_fd_return_jacobian(spec, section, h, **kwargs):
         cols.append((return_map(spec, section, e, **kwargs)
                      - return_map(spec, section, -e, **kwargs)) / (2.0 * hj))
     return np.column_stack(cols)
+
+
+def variational_spec(spec, n):
+    """The flow of (x, Phi), Phi the n x n sensitivity, as one flat state.
+
+    Its field is (f(x), Df(x) Phi); its guard reads x only.
+    """
+    field, guard = spec.vector_field, spec.guard
+    dfield = spec.vector_field_jacobian or (lambda x: _fd.jacobian(field, x))
+
+    def augmented(z):
+        x = z[:n]
+        return np.concatenate([field(x), (dfield(x) @ z[n:].reshape(n, n)).ravel()])
+
+    return dataclasses.replace(spec, vector_field=augmented,
+                               guard=lambda z: guard(z[:n]))
+
+
+def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
+    """Return-map Jacobian at the anchor, in chart coordinates, from one
+    error-controlled flow of (x, Phi) through `variational_spec`.
+
+    Phi is multiplied by the saltation matrix at each impact and projected
+    along the flow onto the section at the return, which counts only after
+    a reset. The step sizes follow the error of both x and Phi, so the flow
+    differs from the one `return_map` takes.
+    """
+    n = section.anchor.size
+    aug = variational_spec(spec, n)
+
+    def offset(z):
+        return float(section.normal @ (z[:n] - section.anchor))
+
+    z, t = np.concatenate([section.anchor, np.eye(n).ravel()]), 0.0
+    for impacts in range(MAX_CYCLES + 1):
+        watch = (offset, section.crossing_direction, t + 1e-9) if impacts else None
+        _, event, hit = _flow(aug, z, t, t + t_max, tol, watch)
+        if hit is not None:
+            break
+        pre = event.pre_state[:n]
+        post = apply_reset(spec, pre, event.guard_residual)
+        phi = _saltation(spec, pre, post) @ event.pre_state[n:].reshape(n, n)
+        z, t = np.concatenate([post, phi.ravel()]), event.time
+    else:
+        raise RuntimeError("no section return")
+    x, phi = hit[1][:n], hit[1][n:].reshape(n, n)
+    f = np.asarray(spec.vector_field(x), dtype=float)
+    project = np.eye(n) - np.outer(f, section.normal) / float(section.normal @ f)
+    return section.chart.T @ project @ phi @ section.chart

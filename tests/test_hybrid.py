@@ -24,7 +24,7 @@ from routhsim.hybrid import (
     integrate_segment,
     run_hybrid,
 )
-from routhsim.poincare import _variational_spec
+from oracles import variational_spec
 
 NAN, INF = float("nan"), float("inf")
 
@@ -150,7 +150,7 @@ class TestInlinedStep:
         cert = rs.CERTIFIED_SLIP
         spec, start = rs.slip_hybrid_spec(cert.params), cert.seed
         if variational:
-            spec = _variational_spec(spec, 4)
+            spec = variational_spec(spec, 4)
             start = np.concatenate([start, np.eye(4).ravel()])
         calls = []
 

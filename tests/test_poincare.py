@@ -162,6 +162,53 @@ class TestJacobian:
             fd = central_fd_return_jacobian(spec, sec, h, t_max=5.0, tol=1e-12)
             assert np.max(np.abs(exact - fd)) <= 2e6 * h ** 2
 
+    @staticmethod
+    def pinned_gaits():
+        """The certified pinned gait and 3 seeded gaits from the box
+        kappa in [49, 51], xi* in [0.795, 0.802], phidot* in [0.52, 0.58],
+        each with its touchdown angle pinned at its orbit's impact angle."""
+        yield PINNED, CERT.seed
+        rng = np.random.default_rng(2024)
+        sym = rs.slip_symmetry()
+        for _ in range(3):
+            params = rs.SlipParams(kappa=rng.uniform(49.0, 51.0))
+            seed = np.array([rng.uniform(0.795, 0.802), 0.0, 0.0,
+                             rng.uniform(0.52, 0.58)])
+            orbit = rs.construct_periodic_orbit(rs.slip_hybrid_spec(params),
+                                                sym, seed, t_max=5.0)
+            angle = abs(float(orbit.trajectory.impacts[0].pre_state[1]))
+            yield dataclasses.replace(params, phi0=angle), seed
+
+    def test_matches_augmented_flow(self):
+        from oracles import augmented_flow_jacobian
+
+        for params, seed in self.pinned_gaits():
+            spec = rs.slip_hybrid_spec(params)
+            sec = rs.slip_section(seed)
+            jac = jacobian(spec, sec, t_max=5.0)
+            ref = augmented_flow_jacobian(spec, sec, t_max=5.0)
+            assert np.max(np.abs(jac - ref)) <= 1e-6
+            assert np.max(np.abs(np.abs(eigenvalues(jac))
+                                 - np.abs(eigenvalues(ref)))) <= 1e-7
+
+    def test_field_calls_over_return_map(self):
+        # The sensitivity rides on the state's own steps: beyond the return
+        # map's flow, only the saltation's f- and f+ and the projection's f.
+        spec = rs.slip_hybrid_spec(PINNED)
+        sec = rs.slip_section(CERT.seed)
+        calls = []
+
+        def field(s):
+            calls.append(1)
+            return spec.vector_field(s)
+
+        counted = dataclasses.replace(spec, vector_field=field)
+        return_map(counted, sec, np.zeros(3), t_max=5.0)
+        flow = len(calls)
+        calls.clear()
+        jacobian(counted, sec, t_max=5.0)
+        assert len(calls) <= flow + 3
+
     def test_finite_difference_field_jacobian_fallback(self):
         spec = rs.slip_hybrid_spec(PINNED)
         assert spec.vector_field_jacobian is not None

@@ -153,7 +153,13 @@ class TestParsing:
         ({"model": "pendulm", "task": "simulate"}, "model must be one of"),
         ({"model": "slip", "task": "periodic_orbit", "params": {"kapa": 60.0}},
          "unknown key 'kapa' in params"),
-    ], ids=["model", "params_key"])
+        ({"model": "slip", "task": "simulate", "params": None},
+         r"params \(slip\) must be a mapping"),
+        ({"model": "slip", "task": "simulate", "params": {"kappa": "50"}},
+         "params.kappa must be a number, got '50'"),
+        ({"model": "slip", "task": "simulate", "seed": ("a", 0, 0, 0)},
+         r"seed\[0\] must be a number, got 'a'"),
+    ], ids=["model", "params_key", "params_none", "params_type", "seed_type"])
     def test_direct_construction_validated_like_parsing(self, kwargs, message):
         # A misspelt model or parameter key must not fall back to a default.
         with pytest.raises(ScenarioError, match=message):
@@ -186,7 +192,10 @@ class TestRoundTrip:
         expected = {"closure": symmetry.CLOSURE_TOL,
                     "on_manifold": control.ON_MANIFOLD_TOL,
                     "hybrid_invariance": control.INVARIANCE_TOL,
-                    "involution": symmetry.INVOLUTION_TOL}
+                    "u_star_evenness": control.U_STAR_EVENNESS_TOL,
+                    "involution": symmetry.INVOLUTION_TOL,
+                    "reversibility": symmetry.REVERSIBILITY_TOL,
+                    "routhian_invariance": symmetry.ROUTHIAN_INVARIANCE_TOL}
         seen = {}
         for stem in ("slip_periodic_orbit", "controlled_zero_dynamics",
                      "slip_check_suite"):
