@@ -31,6 +31,7 @@ EVENT_TOL = 1e-10
 TANGENT_TOL = 1e-8
 DEFAULT_TOL = 1e-10
 _SUBSTEPS = 8  # samples per accepted step when scanning for sign changes
+ROOT_IMAG_TOL = 1e-9  # imaginary part up to which a fit's critical point is real
 
 # A degree-7 polynomial in tau in [0, 1] (DOP853's dense output on one step)
 # fitted to the step's _SUBSTEPS + 1 equispaced samples, as monomial
@@ -109,8 +110,10 @@ class HybridSystemSpec:
 
     guard_direction selects the sign of d(guard)/dt at which crossings
     trigger; 'both' accepts either sign. vector_field_jacobian, when given,
-    returns the closed-form Jacobian of vector_field at a state; the exact
-    return-map linearization falls back to central differences without it.
+    returns the closed-form Jacobian of vector_field: a state of shape (n,)
+    gives an (n, n) matrix, and a stack of states of shape (k, n) gives a
+    (k, n, n) stack of matrices. The exact return-map linearization calls it
+    on stacks, and falls back to central differences without it.
     """
 
     vector_field: Callable[[np.ndarray], np.ndarray]
@@ -175,12 +178,13 @@ def guard_rate(spec: HybridSystemSpec, s: np.ndarray) -> float:
 
 def _first_crossing(direction: str, g: np.ndarray, start: int):
     """Index i >= start of the first pair (g[i], g[i+1]) crossing zero in `direction`."""
-    g0, g1 = g[:-1], g[1:]
-    up = (g0 < 0.0) & (g1 >= 0.0)
-    down = (g0 > 0.0) & (g1 <= 0.0)
-    hit = up if direction == RISING else down if direction == FALLING else up | down
-    idx = np.flatnonzero(hit[start:])
-    return None if idx.size == 0 else start + int(idx[0])
+    g = g.tolist()
+    rising, falling = direction != FALLING, direction != RISING
+    for i in range(start, len(g) - 1):
+        a, b = g[i], g[i + 1]
+        if (rising and a < 0.0 <= b) or (falling and a > 0.0 >= b):
+            return i
+    return None
 
 
 def _critical_points(f: np.ndarray) -> np.ndarray:
@@ -195,13 +199,15 @@ def _critical_points(f: np.ndarray) -> np.ndarray:
     and a sign test on them misses no crossing. For a nonlinear event this
     is a heuristic.
     """
-    b = _RANGE @ f
-    if not -math.inf < b.min() <= 0.0 <= b.max() < math.inf:
+    b = (_RANGE @ f).tolist()
+    # min and max skip a NaN that is not first, hence the finiteness check.
+    if not (-math.inf < min(b) <= 0.0 <= max(b) < math.inf
+            and all(map(math.isfinite, b))):
         return f[:0]
     c = _FIT @ f
     roots = np.polynomial.polynomial.polyroots(c[1:] * np.arange(1, _DEGREE + 1))
     # A double root can come back as a complex pair split by rounding.
-    tau = roots.real[np.abs(roots.imag) <= 1e-9]
+    tau = roots.real[np.abs(roots.imag) <= ROOT_IMAG_TOL]
     return tau[(tau > 0.0) & (tau < 1.0)]
 
 

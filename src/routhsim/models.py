@@ -23,6 +23,10 @@ from .poincare import PoincareSection, make_section
 from .routh import MechanicalSystem, RouthianSystem
 from .symmetry import ReversalSymmetry
 
+SECTION_ANGLE_TOL = 1e-12  # |phi| of a slip_section anchor on phi = 0
+SECTION_RATE_MIN = 1e-9  # |phidot| below which phi = 0 is not transversal
+UNIT_MASS_TOL = 1e-12  # |m - 1| admitted by the controlled SLIP model
+
 
 @dataclass(frozen=True)
 class PendulumParams:
@@ -101,30 +105,44 @@ def slip_mechanical(params: SlipParams) -> MechanicalSystem:
     )
 
 
+def _acceleration(g, kappa, l0, m, xi, phi, xidot, phidot, u):
+    """The stance accelerations (xi_acc, phi_acc) on Python floats: the one
+    formula behind `slip_acceleration` and the hybrid spec's field."""
+    return (xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u,
+            (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi)
+
+
 def slip_acceleration(params: SlipParams, s, u: float = 0.0):
     """Closed-form stance accelerations; u adds spring-length actuation.
 
     s is any sequence of 4 numbers; the arithmetic is on Python floats.
     """
     xi, phi, xidot, phidot = np.asarray(s, dtype=float).tolist()
-    g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
-    xi_acc = xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u
-    phi_acc = (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi
-    return xi_acc, phi_acc
+    return _acceleration(params.g, params.kappa, params.l0, params.m,
+                         xi, phi, xidot, phidot, u)
 
 
 def slip_field_jacobian(params: SlipParams, s) -> np.ndarray:
-    """Closed-form Jacobian of the unactuated stance field at state s."""
-    xi, phi, xidot, phidot = np.asarray(s, dtype=float).tolist()
+    """Closed-form Jacobian of the unactuated stance field.
+
+    s is one state, any sequence of 4 numbers, giving a (4, 4) matrix, or a
+    (k, 4) stack of states, giving a (k, 4, 4) stack of matrices.
+    """
+    s = np.asarray(s, dtype=float)
+    xi, phi, xidot, phidot = (s[..., i] for i in range(4))
     g, kappa, m = params.g, params.kappa, params.m
-    sin, cos = math.sin(phi), math.cos(phi)
-    return np.array([
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [phidot ** 2 - kappa / m, g * sin, 0.0, 2.0 * xi * phidot],
-        [(2.0 * phidot * xidot - g * sin) / xi ** 2, g * cos / xi,
-         -2.0 * phidot / xi, -2.0 * xidot / xi],
-    ])
+    sin, cos = np.sin(phi), np.cos(phi)
+    jac = np.zeros(s.shape[:-1] + (4, 4))
+    jac[..., 0, 2] = 1.0
+    jac[..., 1, 3] = 1.0
+    jac[..., 2, 0] = phidot ** 2 - kappa / m
+    jac[..., 2, 1] = g * sin
+    jac[..., 2, 3] = 2.0 * xi * phidot
+    jac[..., 3, 0] = (2.0 * phidot * xidot - g * sin) / xi ** 2
+    jac[..., 3, 1] = g * cos / xi
+    jac[..., 3, 2] = -2.0 * phidot / xi
+    jac[..., 3, 3] = -2.0 * xidot / xi
+    return jac
 
 
 def slip_routhian(params: SlipParams) -> RouthianSystem:
@@ -169,10 +187,13 @@ def slip_hybrid_spec(params: SlipParams, u_feedback=None) -> HybridSystemSpec:
     it, the feedback's derivative is unknown and linearization falls back to
     central differences.
     """
+    g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
+
     def field(s):
+        xi, phi, xidot, phidot = s.tolist()
         u = 0.0 if u_feedback is None else float(u_feedback(s))
-        xi_acc, phi_acc = slip_acceleration(params, s, u)
-        return np.array([s[2], s[3], xi_acc, phi_acc])
+        return np.array((xidot, phidot) + _acceleration(
+            g, kappa, l0, m, xi, phi, xidot, phidot, u))
 
     jac = partial(slip_field_jacobian, params) if u_feedback is None else None
     return HybridSystemSpec(vector_field=field, guard=slip_guard(params),
@@ -198,9 +219,9 @@ def slip_section(anchor) -> PoincareSection:
     rate) exactly; transversal whenever the anchor's angular rate is nonzero.
     """
     anchor = np.asarray(anchor, dtype=float)
-    if abs(anchor[1]) > 1e-12:
+    if abs(anchor[1]) > SECTION_ANGLE_TOL:
         raise ValueError("anchor must lie on the phi = 0 hyperplane")
-    if abs(anchor[3]) < 1e-9:
+    if abs(anchor[3]) < SECTION_RATE_MIN:
         raise ValueError("anchor has zero angular rate; the phi = 0 section "
                          "is not transversal there")
     normal = np.array([0.0, 1.0, 0.0, 0.0])
@@ -250,7 +271,7 @@ def controlled_slip_system(params: SlipParams, coeffs: ConstraintCoefficients):
     The bundled controlled model fixes m = 1 so the torque enters the
     spring-length acceleration without a mass ambiguity.
     """
-    if abs(params.m - 1.0) > 1e-12:
+    if abs(params.m - 1.0) > UNIT_MASS_TOL:
         raise ValueError("the controlled SLIP model requires unit mass")
     manifold = quadratic_constraint(coeffs)
     controlled = ControlledRouthian(base=slip_routhian(params),

@@ -39,6 +39,7 @@ TOL_LAMBDA1 = 1e-4
 RANK_RTOL = 1e-8
 EIGEN_RESIDUAL_RTOL = 1e-8  # sigma_min(A - lambda I), relative to ||A||_2
 CHART_TOL = 1e-10  # orthonormality of a section chart and its normal defect
+DEPARTURE_SKIP = 1e-9  # s after a leg's start before a section crossing counts
 
 # The DOP853 tableau with the step's end and extra stages (Hairer, Norsett &
 # Wanner, Solving ODEs I, Sec. II.5-II.6); rows 0.._STAGES - 1 make a step.
@@ -136,7 +137,7 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
         watch = None
         if impacts > 0 or not require_impact:
             # Ignore the immediate departure from the section itself.
-            watch = (offset, section.crossing_direction, t + 1e-9)
+            watch = (offset, section.crossing_direction, t + DEPARTURE_SKIP)
         steps = None if legs is None else []
         _, event, hit = _flow(spec, state, t, t + t_max, tol, watch, steps)
         if hit is not None:
@@ -181,7 +182,9 @@ def _transition(dfield, steps, t_stop: float) -> np.ndarray:
     G_s = Df(Y_s) (I + h sum_j a_sj G_j), and a step's is I + h sum_s b_s G_s.
     The last step contributes the derivative of its dense output at t_stop,
     whose rows are built as `_flow` builds F, from G at the step's end and
-    at the 3 extra stages.
+    at the 3 extra stages. The stage states Y_s do not depend on G, so Df
+    is taken in one call, `dfield` on the (_STAGES * S + 4, n) stack of every
+    stage state of the S steps and the last step's end and extra stages.
     """
     S = len(steps)
     n = steps[0][2].size
@@ -190,8 +193,14 @@ def _transition(dfield, steps, t_stop: float) -> np.ndarray:
     hh = h[:, None, None]
     # Stage-major: Y[s, k] is stage s of step k.
     Y = y + h[:, None] * np.einsum("sj,kjn->skn", _TABLEAU[:_STAGES], K)
-    J = np.array([dfield(v) for v in Y.reshape(-1, n)],
-                 dtype=float).reshape(_STAGES, S, n, n)
+    # The last step's end (row _STAGES, whose coefficients are B) and extra
+    # stages, for its dense output.
+    hl, yl, Kl = h[-1], y[-1], K[-1]
+    extra = [yl + hl * (_TABLEAU[s, :s] @ Kl[:s])
+             for s in range(_STAGES, _dop853.N_STAGES_EXTENDED)]
+    J = np.asarray(dfield(np.concatenate([Y.reshape(-1, n), extra])),
+                   dtype=float)
+    J, J_extra = J[:_STAGES * S].reshape(_STAGES, S, n, n), J[_STAGES * S:]
     G = np.empty((_dop853.N_STAGES_EXTENDED, S, n, n))
     G[0] = J[0]
     for s in range(1, _STAGES):
@@ -199,13 +208,9 @@ def _transition(dfield, steps, t_stop: float) -> np.ndarray:
         G[s] = J[s] @ (eye + hh * inner)
     M = eye + hh * (_dop853.B @ G[:_STAGES].reshape(_STAGES, -1)).reshape(S, n, n)
 
-    # The last step's end (row _STAGES, whose coefficients are B) and extra
-    # stages, for its dense output.
-    hl, yl, Kl, Gl = h[-1], y[-1], K[-1], G[:, -1]
-    for s in range(_STAGES, _dop853.N_STAGES_EXTENDED):
-        a = _TABLEAU[s, :s]
-        Gl[s] = (np.asarray(dfield(yl + hl * (a @ Kl[:s])), dtype=float)
-                 @ (eye + hl * np.tensordot(a, Gl[:s], 1)))
+    Gl = G[:, -1]
+    for s, Js in enumerate(J_extra, start=_STAGES):
+        Gl[s] = Js @ (eye + hl * np.tensordot(_TABLEAU[s, :s], Gl[:s], 1))
     dF = np.empty((_dop853.INTERPOLATOR_POWER, n, n))
     dF[0] = M[-1] - eye
     dF[1] = hl * Gl[0] - dF[0]
@@ -247,11 +252,12 @@ def jacobian(
     saltation matrix at each impact and projected along the flow onto the
     section at the return: chart^T (I - f n^T / (n . f)) Phi chart. The
     field's derivative is spec.vector_field_jacobian, or central differences
-    when that is unset.
+    when that is unset, taken once per leg on the stack of its stage states.
     """
     n = section.anchor.size
     field = spec.vector_field
-    dfield = spec.vector_field_jacobian or (lambda x: _fd.jacobian(field, x))
+    dfield = spec.vector_field_jacobian or (
+        lambda xs: np.array([_fd.jacobian(field, x) for x in xs]))
     legs = []
     try:
         x = _cycle(spec, section, section.anchor, t_max, tol, require_impact,

@@ -4,8 +4,16 @@ import dataclasses
 import numpy as np
 
 from routhsim import _fd
-from routhsim.hybrid import _flow, apply_reset
-from routhsim.poincare import MAX_CYCLES, _saltation, return_map
+from routhsim.hybrid import (
+    _FIT,
+    _RANGE,
+    FALLING,
+    RISING,
+    ROOT_IMAG_TOL,
+    _flow,
+    apply_reset,
+)
+from routhsim.poincare import DEPARTURE_SKIP, MAX_CYCLES, _saltation, return_map
 
 
 def char_poly_coefficients(A):
@@ -22,6 +30,31 @@ def char_poly_coefficients(A):
         M = A @ M + coeffs[-1] * np.eye(n)
         coeffs.append(-np.trace(A @ M) / k)
     return np.array(coeffs)
+
+
+def first_crossing(direction, g, start):
+    """The crossing scan's index on numpy arrays: the first i >= start with
+    (g[i], g[i+1]) crossing zero in `direction`, or None."""
+    g0, g1 = g[:-1], g[1:]
+    up = (g0 < 0.0) & (g1 >= 0.0)
+    down = (g0 > 0.0) & (g1 <= 0.0)
+    hit = up if direction == RISING else down if direction == FALLING else up | down
+    idx = np.flatnonzero(hit[start:])
+    return None if idx.size == 0 else start + int(idx[0])
+
+
+def critical_points(f):
+    """The scan's extra points on numpy arrays: the interior critical points
+    of the degree-7 fit to 9 samples f, or none when the fit's Bernstein
+    coefficients are of one strict sign or one is not finite (`min` and
+    `max` of an ndarray propagate NaN)."""
+    b = _RANGE @ f
+    if not -np.inf < b.min() <= 0.0 <= b.max() < np.inf:
+        return f[:0]
+    c = _FIT @ f
+    roots = np.polynomial.polynomial.polyroots(c[1:] * np.arange(1, c.size))
+    tau = roots.real[np.abs(roots.imag) <= ROOT_IMAG_TOL]
+    return tau[(tau > 0.0) & (tau < 1.0)]
 
 
 def central_fd_return_jacobian(spec, section, h, **kwargs):
@@ -74,7 +107,8 @@ def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
 
     z, t = np.concatenate([section.anchor, np.eye(n).ravel()]), 0.0
     for impacts in range(MAX_CYCLES + 1):
-        watch = (offset, section.crossing_direction, t + 1e-9) if impacts else None
+        watch = ((offset, section.crossing_direction, t + DEPARTURE_SKIP)
+                 if impacts else None)
         _, event, hit = _flow(aug, z, t, t + t_max, tol, watch)
         if hit is not None:
             break

@@ -21,10 +21,12 @@ from routhsim.hybrid import (
     apply_reset,
     _SUBSTEPS,
     _brent,
+    _critical_points,
+    _first_crossing,
     integrate_segment,
     run_hybrid,
 )
-from oracles import variational_spec
+from oracles import critical_points, first_crossing, variational_spec
 
 NAN, INF = float("nan"), float("inf")
 
@@ -239,6 +241,37 @@ class TestBrent:
         ours = self.outcome(_brent, f, a, b, rtol=8.9e-16)
         assert ours[0] is error
         assert ours == self.outcome(brentq, f, a, b, rtol=8.9e-16)
+
+
+class TestScanHelpers:
+    """The float-level scan helpers against their numpy oracles."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, NAN, INF, -INF]),
+                              st.floats(-1e3, 1e3)),
+                    min_size=_SUBSTEPS + 1, max_size=_SUBSTEPS + 1))
+    def test_match_numpy_oracle(self, values):
+        g = np.array(values)
+        for direction in ("rising", "falling", "both"):
+            for start in range(g.size + 1):
+                assert (_first_crossing(direction, g, start)
+                        == first_crossing(direction, g, start))
+        # inf - inf in the Bernstein map warns in both; the values are tested.
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(_critical_points(g),
+                                          critical_points(g))
+
+    def test_non_finite_coefficient_adds_no_points(self):
+        # The samples change sign twice, so with finite values the fit has
+        # interior critical points; one NaN or inf anywhere removes them.
+        g = np.array([1.0, -1.0, -2.0, -1.0, 0.5, 1.0, 0.5, -0.5, -1.0])
+        assert _critical_points(g).size > 0
+        for i in range(g.size):
+            for bad in (NAN, INF, -INF):
+                h = g.copy()
+                h[i] = bad
+                with np.errstate(invalid="ignore"):
+                    assert _critical_points(h).size == 0
 
 
 class TestNonFiniteArguments:

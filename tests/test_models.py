@@ -90,6 +90,29 @@ class TestAnalyticFields:
         for seq in (s, tuple(s)):
             assert np.array_equal(np.asarray(helper(params, seq)), ref)
 
+    def test_slip_field_jacobian_on_a_stack(self):
+        # np.sin on an array and on one value may differ by 1 ulp.
+        params = rs.SlipParams(kappa=50.0, l0=1.0)
+        rng = np.random.default_rng(25)
+        stack = rng.uniform([0.5, -1.2, -2, -3], [1.4, 1.2, 2, 3], (40, 4))
+        jac = slip_field_jacobian(params, stack)
+        assert jac.shape == (40, 4, 4)
+        for s, one in zip(stack, jac):
+            np.testing.assert_allclose(one, slip_field_jacobian(params, s),
+                                       rtol=1e-14, atol=0.0)
+
+    def test_spec_field_is_slip_acceleration(self):
+        params = rs.SlipParams(kappa=50.0, l0=1.0)
+        rng = np.random.default_rng(26)
+        states = rng.uniform([0.5, -1.2, -2, -3], [1.4, 1.2, 2, 3], (100, 4))
+        for u_feedback in (None, lambda s: 3.0 * s[1] - 0.5 * s[3]):
+            field = rs.slip_hybrid_spec(params, u_feedback).vector_field
+            for s in states:
+                u = 0.0 if u_feedback is None else float(u_feedback(s))
+                expected = np.array([s[2], s[3],
+                                     *slip_acceleration(params, s, u)])
+                assert np.array_equal(field(s), expected)
+
     def test_feedback_spec_has_no_field_jacobian(self):
         spec = rs.slip_hybrid_spec(rs.SlipParams(), u_feedback=lambda s: 0.0)
         assert spec.vector_field_jacobian is None

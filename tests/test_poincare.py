@@ -209,6 +209,20 @@ class TestJacobian:
         jacobian(counted, sec, t_max=5.0)
         assert len(calls) <= flow + 3
 
+    def test_one_field_jacobian_call_per_leg(self):
+        # Each leg's stage states go to Df as one stack: the stance up to
+        # the impact, and the stance after it up to the section.
+        spec = rs.slip_hybrid_spec(PINNED)
+        calls = []
+
+        def dfield(states):
+            calls.append(1)
+            return spec.vector_field_jacobian(states)
+
+        counted = dataclasses.replace(spec, vector_field_jacobian=dfield)
+        jacobian(counted, rs.slip_section(CERT.seed), t_max=5.0)
+        assert len(calls) == 2
+
     def test_finite_difference_field_jacobian_fallback(self):
         spec = rs.slip_hybrid_spec(PINNED)
         assert spec.vector_field_jacobian is not None
