@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _fd
 from .hybrid import HybridSystemSpec, _brent, as_state
 from .routh import RouthianSystem
 from .symmetry import PeriodicOrbit, ReversalSymmetry, construct_periodic_orbit
@@ -56,14 +55,13 @@ class ControlledRouthian:
 class ZeroDynamicsManifold:
     """xi = h(phi) with the velocity lift xidot = h'(phi) phidot.
 
-    State layout is (xi, phi, xidot, phidot). Derivatives of h default to
-    central finite differences.
+    State layout is (xi, phi, xidot, phidot). The constraint supplies h and
+    its first two derivatives dh and d2h in closed form.
     """
 
     h: Callable[[float], float]
-    dh: Optional[Callable[[float], float]] = None
-    d2h: Optional[Callable[[float], float]] = None
-    even: bool = True
+    dh: Callable[[float], float]
+    d2h: Callable[[float], float]
 
     def length(self, phi: float) -> float:
         val = float(self.h(float(phi)))
@@ -72,17 +70,10 @@ class ZeroDynamicsManifold:
         return val
 
     def slope(self, phi: float) -> float:
-        if self.dh is not None:
-            return float(self.dh(float(phi)))
-        step = _fd.FD_STEP * max(1.0, abs(phi))
-        return (float(self.h(phi + step)) - float(self.h(phi - step))) / (2.0 * step)
+        return float(self.dh(float(phi)))
 
     def curvature(self, phi: float) -> float:
-        if self.d2h is not None:
-            return float(self.d2h(float(phi)))
-        step = (_fd.FD_STEP ** 0.75) * max(1.0, abs(phi))
-        return (float(self.h(phi + step)) - 2.0 * float(self.h(phi))
-                + float(self.h(phi - step))) / step ** 2
+        return float(self.d2h(float(phi)))
 
     def embed(self, phi: float, phidot: float) -> np.ndarray:
         return np.array([self.length(phi), float(phi),

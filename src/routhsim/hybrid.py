@@ -30,6 +30,7 @@ from ._dop853 import DenseOutput, DenseStep
 EVENT_TOL = 1e-10
 TANGENT_TOL = 1e-8
 DEFAULT_TOL = 1e-10
+MIN_INTER_IMPACT = 1e-6  # shortest gap between impacts before ZenoError
 _SUBSTEPS = 8  # samples per accepted step when scanning for sign changes
 ROOT_IMAG_TOL = 1e-9  # imaginary part up to which a fit's critical point is real
 
@@ -120,7 +121,6 @@ class HybridSystemSpec:
     guard: Callable[[np.ndarray], float]
     reset: Callable[[np.ndarray], np.ndarray]
     guard_direction: str = RISING
-    min_inter_impact: float = 1e-6
     max_impacts: int = 10_000
     event_tol: float = EVENT_TOL
     vector_field_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -128,8 +128,6 @@ class HybridSystemSpec:
     def __post_init__(self):
         if self.guard_direction not in _DIRECTIONS:
             raise ValueError(f"guard_direction must be one of {_DIRECTIONS}")
-        if not 0.0 < self.min_inter_impact < math.inf:
-            raise ValueError("min_inter_impact must be positive and finite")
         if not 0.0 < self.event_tol < math.inf:
             raise ValueError("event_tol must be positive and finite")
         if self.max_impacts < 1:
@@ -464,18 +462,20 @@ def integrate_segment(
     return segment, event
 
 
-def apply_reset(spec: HybridSystemSpec, pre_state, guard_residual: float = 0.0):
-    """Apply the reset map and verify the moving-away condition.
+def apply_reset(spec: HybridSystemSpec, pre_state):
+    """Apply the reset map and verify the on-guard and moving-away conditions.
 
-    For a rising guard, a post state at or beyond the guard must satisfy
+    A pre state with |guard| > spec.event_tol raises ValueError. For a
+    rising guard, a post state at or beyond the guard must satisfy
     d(guard)/dt <= 0 (and symmetrically for falling guards). States reset
     strictly inside the domain are admissible regardless of velocity: the
     flow may legitimately approach the guard again.
     """
     pre = as_state(pre_state)
-    if guard_residual > spec.event_tol:
+    residual = abs(float(spec.guard(pre)))
+    if not residual <= spec.event_tol:
         raise ValueError(
-            f"pre-impact state is not on the guard (residual {guard_residual:.3e})")
+            f"pre-impact state is not on the guard (residual {residual:.3e})")
     post = as_state(spec.reset(pre))
 
     g_post = float(spec.guard(post))
@@ -503,7 +503,7 @@ def run_hybrid(
     """Alternate flow and reset until tf, the impact budget, or an error.
 
     Raises ZenoError when a reset returns the pre-impact state (stuck on the
-    guard) or two impacts arrive closer than min_inter_impact.
+    guard) or two impacts arrive closer than MIN_INTER_IMPACT.
     """
     if not (math.isfinite(t0) and math.isfinite(tf)):
         raise ValueError("t0 and tf must be finite")
@@ -520,17 +520,17 @@ def run_hybrid(
             break
         if len(impacts) + 1 > spec.max_impacts:
             raise MaxImpactsError(f"more than {spec.max_impacts} impacts before tf")
-        if event.time - t < spec.min_inter_impact and impacts:
+        if event.time - t < MIN_INTER_IMPACT and impacts:
             raise ZenoError(
                 f"impacts at {impacts[-1].time:.9g} and {event.time:.9g} are closer "
-                f"than min_inter_impact={spec.min_inter_impact:g}")
+                f"than MIN_INTER_IMPACT={MIN_INTER_IMPACT:g}")
         raw_post = as_state(spec.reset(event.pre_state))
         if (np.max(np.abs(raw_post - event.pre_state)) <= spec.event_tol
                 and abs(float(spec.guard(raw_post))) <= spec.event_tol):
             raise ZenoError(
                 "reset returned the pre-impact state: the trajectory is stuck "
                 "on the guard and would re-trigger immediately")
-        post = apply_reset(spec, event.pre_state, event.guard_residual)
+        post = apply_reset(spec, event.pre_state)
         event = ImpactEvent(event.time, event.pre_state, post, event.guard_residual)
         impacts.append(event)
         state = post

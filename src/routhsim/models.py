@@ -105,21 +105,20 @@ def slip_mechanical(params: SlipParams) -> MechanicalSystem:
     )
 
 
-def _acceleration(g, kappa, l0, m, xi, phi, xidot, phidot, u):
-    """The stance accelerations (xi_acc, phi_acc) on Python floats: the one
-    formula behind `slip_acceleration` and the hybrid spec's field."""
-    return (xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u,
-            (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi)
+def _stance_field(params: SlipParams, u_feedback):
+    """The closed-form stance field of a numpy state, on Python floats;
+    u_feedback(state) -> scalar adds spring-length actuation, None adds none."""
+    g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
 
+    def field(s):
+        xi, phi, xidot, phidot = s.tolist()
+        u = 0.0 if u_feedback is None else float(u_feedback(s))
+        return np.array((
+            xidot, phidot,
+            xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u,
+            (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi))
 
-def slip_acceleration(params: SlipParams, s, u: float = 0.0):
-    """Closed-form stance accelerations; u adds spring-length actuation.
-
-    s is any sequence of 4 numbers; the arithmetic is on Python floats.
-    """
-    xi, phi, xidot, phidot = np.asarray(s, dtype=float).tolist()
-    return _acceleration(params.g, params.kappa, params.l0, params.m,
-                         xi, phi, xidot, phidot, u)
+    return field
 
 
 def slip_field_jacobian(params: SlipParams, s) -> np.ndarray:
@@ -146,12 +145,8 @@ def slip_field_jacobian(params: SlipParams, s) -> np.ndarray:
 
 
 def slip_routhian(params: SlipParams) -> RouthianSystem:
-    def field(s):
-        xi_acc, phi_acc = slip_acceleration(params, s)
-        return np.array([s[2], s[3], xi_acc, phi_acc])
-
     return RouthianSystem(base=slip_mechanical(params), mu=params.mu,
-                          analytic_vector_field=field)
+                          analytic_vector_field=_stance_field(params, None))
 
 
 def slip_symmetry() -> ReversalSymmetry:
@@ -187,16 +182,9 @@ def slip_hybrid_spec(params: SlipParams, u_feedback=None) -> HybridSystemSpec:
     it, the feedback's derivative is unknown and linearization falls back to
     central differences.
     """
-    g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
-
-    def field(s):
-        xi, phi, xidot, phidot = s.tolist()
-        u = 0.0 if u_feedback is None else float(u_feedback(s))
-        return np.array((xidot, phidot) + _acceleration(
-            g, kappa, l0, m, xi, phi, xidot, phidot, u))
-
     jac = partial(slip_field_jacobian, params) if u_feedback is None else None
-    return HybridSystemSpec(vector_field=field, guard=slip_guard(params),
+    return HybridSystemSpec(vector_field=_stance_field(params, u_feedback),
+                            guard=slip_guard(params),
                             reset=slip_reset(params), guard_direction=RISING,
                             vector_field_jacobian=jac)
 
@@ -256,7 +244,6 @@ def quadratic_constraint(coeffs: ConstraintCoefficients) -> ZeroDynamicsManifold
         h=lambda phi: c0 + c2 * phi ** 2,
         dh=lambda phi: 2.0 * c2 * phi,
         d2h=lambda phi: 2.0 * c2,
-        even=True,
     )
 
 

@@ -148,7 +148,7 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
             raise NoReturnError(
                 f"no section return within t_max={t_max:g} "
                 f"after {impacts} impact(s)")
-        state = apply_reset(spec, event.pre_state, event.guard_residual)
+        state = apply_reset(spec, event.pre_state)
         if legs is not None:
             legs.append((steps, event.time, event.pre_state, state))
         t = event.time
@@ -328,12 +328,16 @@ class StabilityReport:
     classification: str
 
 
-def check_spectral_bounds(eigvals, r: int, beta: int, n_minus_1: int):
-    """Lower bounds: at least (n-1-beta) zero eigenvalues and r unit ones."""
-    moduli = np.abs(np.asarray(eigvals))
+def _spectral_counts(moduli, r: int, beta: int, n_minus_1: int):
+    """(Lambda_0, Lambda_1, Lambda_0 bound ok, Lambda_1 bound ok)."""
     lam0 = int(np.sum(moduli <= TOL_LAMBDA0))
     lam1 = int(np.sum(np.abs(moduli - 1.0) <= TOL_LAMBDA1))
-    return lam0 >= max(0, n_minus_1 - beta), lam1 >= max(0, r)
+    return lam0, lam1, lam0 >= max(0, n_minus_1 - beta), lam1 >= max(0, r)
+
+
+def check_spectral_bounds(eigvals, r: int, beta: int, n_minus_1: int):
+    """Lower bounds: at least (n-1-beta) zero eigenvalues and r unit ones."""
+    return _spectral_counts(np.abs(np.asarray(eigvals)), r, beta, n_minus_1)[2:]
 
 
 def stability_report(jac, r: int, beta: int, n_minus_1: int) -> StabilityReport:
@@ -341,9 +345,7 @@ def stability_report(jac, r: int, beta: int, n_minus_1: int) -> StabilityReport:
     jac = np.asarray(jac, dtype=float)
     vals = eigenvalues(jac)
     moduli = np.abs(vals)
-    lam0 = int(np.sum(moduli <= TOL_LAMBDA0))
-    lam1 = int(np.sum(np.abs(moduli - 1.0) <= TOL_LAMBDA1))
-    ok0, ok1 = check_spectral_bounds(vals, r, beta, n_minus_1)
+    lam0, lam1, ok0, ok1 = _spectral_counts(moduli, r, beta, n_minus_1)
 
     non_unit = moduli[np.abs(moduli - 1.0) > TOL_LAMBDA1]
     if np.all(moduli < 1.0 - 10.0 * TOL_LAMBDA1):

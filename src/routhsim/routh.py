@@ -126,13 +126,14 @@ def _generic_field(sys: RouthianSystem):
     return field
 
 
-def routh_vector_field(sys: RouthianSystem, use_analytic: bool = True):
+def routh_vector_field(sys: RouthianSystem):
     """First-order vector field of the Routh equations on the reduced tangent space.
 
-    With use_analytic=False the generic finite-difference engine is returned
-    even when the model supplies a closed form (used for cross-validation).
+    The model's closed form when it supplies one, else the generic
+    finite-difference engine, which stays the reference the closed forms are
+    tested against.
     """
-    if use_analytic and sys.analytic_vector_field is not None:
+    if sys.analytic_vector_field is not None:
         return sys.analytic_vector_field
     return _generic_field(sys)
 

@@ -187,7 +187,7 @@ def construct_periodic_orbit(spec: HybridSystemSpec, sym: ReversalSymmetry,
     if mismatch > RESET_MATCH_TOL:
         raise ResetMismatchError(
             f"reset differs from the symmetry at the impact state by {mismatch:.3e}")
-    post = apply_reset(spec, event.pre_state, event.guard_residual)
+    post = apply_reset(spec, event.pre_state)
     event = type(event)(event.time, event.pre_state, post, event.guard_residual)
 
     seg2, crossing = integrate_segment(spec, post, t1, 2.0 * t1, tol=tol)

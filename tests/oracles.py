@@ -113,7 +113,7 @@ def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
         if hit is not None:
             break
         pre = event.pre_state[:n]
-        post = apply_reset(spec, pre, event.guard_residual)
+        post = apply_reset(spec, pre)
         phi = _saltation(spec, pre, post) @ event.pre_state[n:].reshape(n, n)
         z, t = np.concatenate([post, phi.ravel()]), event.time
     else:

@@ -32,7 +32,6 @@ class TestControlledRouthian:
         controlled, manifold, u_star = rs.controlled_slip_system(
             CERT.params, CERT.coefficients)
         assert controlled.input_matrix.shape == (4, 1)
-        assert manifold.even
         assert np.isfinite(u_star(CERT.seed))
 
     def test_rank_deficient_input_matrix_rejected(self):
@@ -60,16 +59,10 @@ class TestManifoldGeometry:
         pos, vel = manifold.residuals(s)
         assert abs(pos) <= 1e-14 and abs(vel) <= 1e-14
 
-    def test_fd_derivative_fallback(self):
-        exact = rs.quadratic_constraint(CERT.coefficients)
-        fd = ZeroDynamicsManifold(h=exact.h)
-        for phi in (-0.8, 0.0, 0.45):
-            assert fd.slope(phi) == pytest.approx(exact.slope(phi), abs=1e-7)
-            assert fd.curvature(phi) == pytest.approx(exact.curvature(phi),
-                                                      abs=1e-4)
-
     def test_nonpositive_length_rejected(self):
-        manifold = ZeroDynamicsManifold(h=lambda phi: -1.0)
+        manifold = ZeroDynamicsManifold(h=lambda phi: -1.0,
+                                        dh=lambda phi: 0.0,
+                                        d2h=lambda phi: 0.0)
         with pytest.raises(GeometricDegeneracyError):
             manifold.length(0.0)
 

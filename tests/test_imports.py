@@ -1,4 +1,5 @@
-"""The library runs without importing scipy."""
+"""The library runs without importing scipy, and imports nothing it does not use."""
+import ast
 import json
 import os
 import subprocess
@@ -39,3 +40,27 @@ def test_no_scipy_module_is_loaded():
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports_in_src():
+    modules = sorted(p for p in (ROOT / "src" / "routhsim").glob("*.py")
+                     if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: _unused_imports(p) for p in modules}
+    assert {name: found for name, found in unused.items() if found} == {}

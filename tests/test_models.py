@@ -1,4 +1,7 @@
 """Bundled models: analytic fields, symmetries, resets, frozen regressions."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,6 @@ from routhsim.certified import (
     search_slip_tuple,
 )
 from routhsim.models import (
-    slip_acceleration,
     slip_field_jacobian,
     slip_guard,
     slip_momentum_transition,
@@ -47,24 +49,26 @@ class TestParamsValidation:
 class TestAnalyticFields:
     def test_pendulum_generic_matches_analytic(self):
         routhian = rs.pendulum_routhian(rs.PendulumParams(m=1.3, k=2.1, mu=0.7))
-        generic = routh_vector_field(routhian, use_analytic=False)
-        analytic = routh_vector_field(routhian, use_analytic=True)
+        generic = routh_vector_field(
+            dataclasses.replace(routhian, analytic_vector_field=None))
+        analytic = routh_vector_field(routhian)
         rng = np.random.default_rng(21)
         for s in rng.uniform([0.4, -2.0], [2.0, 2.0], (100, 2)):
             np.testing.assert_allclose(generic(s), analytic(s), atol=1e-6)
 
     def test_slip_generic_matches_analytic(self):
         routhian = rs.slip_routhian(rs.SlipParams(kappa=75.0, l0=0.9))
-        generic = routh_vector_field(routhian, use_analytic=False)
-        analytic = routh_vector_field(routhian, use_analytic=True)
+        generic = routh_vector_field(
+            dataclasses.replace(routhian, analytic_vector_field=None))
+        analytic = routh_vector_field(routhian)
         rng = np.random.default_rng(22)
         for s in rng.uniform([0.5, -1.2, -2, -3], [1.4, 1.2, 2, 3], (100, 4)):
             np.testing.assert_allclose(generic(s), analytic(s), atol=1e-6)
 
-    def test_slip_acceleration_reference(self):
+    def test_stance_field_reference(self):
         params = rs.SlipParams(kappa=50.0, l0=1.0)
         s = np.array([0.9, 0.3, -0.4, 1.2])
-        xi_acc, phi_acc = slip_acceleration(params, s)
+        xi_acc, phi_acc = rs.slip_hybrid_spec(params).vector_field(s)[2:]
         assert xi_acc == pytest.approx(0.9 * 1.44 - 9.81 * np.cos(0.3)
                                        - 50.0 * (0.9 - 1.0))
         assert phi_acc == pytest.approx((9.81 / 0.9) * np.sin(0.3)
@@ -82,7 +86,7 @@ class TestAnalyticFields:
         np.testing.assert_allclose(closed, fd, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(closed)))
 
-    @pytest.mark.parametrize("helper", [slip_acceleration, slip_field_jacobian])
+    @pytest.mark.parametrize("helper", [slip_field_jacobian])
     def test_field_helpers_take_any_sequence(self, helper):
         params = rs.SlipParams(kappa=50.0, l0=1.0)
         s = [0.9, 0.3, -0.4, 1.2]
@@ -101,16 +105,24 @@ class TestAnalyticFields:
             np.testing.assert_allclose(one, slip_field_jacobian(params, s),
                                        rtol=1e-14, atol=0.0)
 
-    def test_spec_field_is_slip_acceleration(self):
+    def test_spec_field_is_written_out_formula(self):
         params = rs.SlipParams(kappa=50.0, l0=1.0)
+        g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
         rng = np.random.default_rng(26)
         states = rng.uniform([0.5, -1.2, -2, -3], [1.4, 1.2, 2, 3], (100, 4))
-        for u_feedback in (None, lambda s: 3.0 * s[1] - 0.5 * s[3]):
-            field = rs.slip_hybrid_spec(params, u_feedback).vector_field
+        feedback = lambda s: 3.0 * s[1] - 0.5 * s[3]
+        for field, u_feedback in (
+                (routh_vector_field(rs.slip_routhian(params)), None),
+                (rs.slip_hybrid_spec(params).vector_field, None),
+                (rs.slip_hybrid_spec(params, feedback).vector_field, feedback)):
             for s in states:
+                xi, phi, xidot, phidot = s.tolist()
                 u = 0.0 if u_feedback is None else float(u_feedback(s))
-                expected = np.array([s[2], s[3],
-                                     *slip_acceleration(params, s, u)])
+                expected = np.array([
+                    xidot, phidot,
+                    xi * phidot ** 2 - g * math.cos(phi)
+                    - kappa * (xi - l0) / m + u,
+                    (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi])
                 assert np.array_equal(field(s), expected)
 
     def test_feedback_spec_has_no_field_jacobian(self):
@@ -120,10 +132,10 @@ class TestAnalyticFields:
     def test_actuation_enters_length_equation_only(self):
         params = rs.SlipParams(kappa=50.0, l0=1.0)
         s = np.array([0.9, 0.3, -0.4, 1.2])
-        base = slip_acceleration(params, s, 0.0)
-        pushed = slip_acceleration(params, s, 2.5)
-        assert pushed[0] - base[0] == pytest.approx(2.5)
-        assert pushed[1] == base[1]
+        base = rs.slip_hybrid_spec(params).vector_field(s)
+        pushed = rs.slip_hybrid_spec(params, lambda s: 2.5).vector_field(s)
+        assert pushed[2] - base[2] == pytest.approx(2.5)
+        assert np.array_equal(np.delete(pushed, 2), np.delete(base, 2))
 
 
 class TestSymmetryOfPotential:
