@@ -16,24 +16,13 @@ def steps(x: np.ndarray) -> np.ndarray:
 
 def gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    h = steps(x)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return g
+    return jacobian(f, x)[0]
 
 
 def jacobian(f, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function, columns = inputs."""
     x = np.asarray(x, dtype=float)
     h = steps(x)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        cols.append((np.asarray(f(x + e), dtype=float)
-                     - np.asarray(f(x - e), dtype=float)) / (2.0 * h[i]))
-    return np.column_stack(cols)
+    return np.column_stack([(np.asarray(f(x + e), dtype=float)
+                             - np.asarray(f(x - e), dtype=float)) / (2.0 * hi)
+                            for e, hi in zip(np.diag(h), h)])

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hybrid import HybridSystemSpec, _brent, as_state
+from .hybrid import DEFAULT_TOL, HybridSystemSpec, _brent, as_state
 from .routh import RouthianSystem
 from .symmetry import PeriodicOrbit, ReversalSymmetry, construct_periodic_orbit
 
@@ -186,7 +186,7 @@ def periodic_orbit_on_manifold(
     manifold: ZeroDynamicsManifold,
     seed,
     t_max: float,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> PeriodicOrbit:
     """Symmetric periodic orbit of the closed loop, certified to stay on manifold."""
     s0 = as_state(seed)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -463,13 +463,17 @@ def integrate_segment(
 
 
 def apply_reset(spec: HybridSystemSpec, pre_state):
-    """Apply the reset map and verify the on-guard and moving-away conditions.
+    """Evaluate the reset map once and check its post state.
 
-    A pre state with |guard| > spec.event_tol raises ValueError. For a
+    This is the one place a reset is evaluated. A pre state with
+    |guard| > spec.event_tol raises ValueError. A post state within
+    spec.event_tol of the pre state and on the guard raises ZenoError: the
+    trajectory is stuck on the guard and would re-trigger at once. For a
     rising guard, a post state at or beyond the guard must satisfy
-    d(guard)/dt <= 0 (and symmetrically for falling guards). States reset
-    strictly inside the domain are admissible regardless of velocity: the
-    flow may legitimately approach the guard again.
+    d(guard)/dt <= 0 (and symmetrically for falling guards), or
+    AdmissibilityError is raised. States reset strictly inside the domain
+    are admissible regardless of velocity: the flow may legitimately
+    approach the guard again.
     """
     pre = as_state(pre_state)
     residual = abs(float(spec.guard(pre)))
@@ -479,6 +483,11 @@ def apply_reset(spec: HybridSystemSpec, pre_state):
     post = as_state(spec.reset(pre))
 
     g_post = float(spec.guard(post))
+    if (np.max(np.abs(post - pre)) <= spec.event_tol
+            and abs(g_post) <= spec.event_tol):
+        raise ZenoError(
+            "reset returned the pre-impact state: the trajectory is stuck "
+            "on the guard and would re-trigger immediately")
     rate = guard_rate(spec, post)
     if spec.guard_direction == RISING:
         violated = g_post >= -spec.event_tol and rate > 0.0
@@ -502,8 +511,10 @@ def run_hybrid(
 ) -> HybridTrajectory:
     """Alternate flow and reset until tf, the impact budget, or an error.
 
-    Raises ZenoError when a reset returns the pre-impact state (stuck on the
-    guard) or two impacts arrive closer than MIN_INTER_IMPACT.
+    Each impact evaluates the reset once, through apply_reset. Raises
+    ZenoError when two impacts arrive closer than MIN_INTER_IMPACT, or from
+    apply_reset when a reset returns the pre-impact state (stuck on the
+    guard).
     """
     if not (math.isfinite(t0) and math.isfinite(tf)):
         raise ValueError("t0 and tf must be finite")
@@ -524,16 +535,9 @@ def run_hybrid(
             raise ZenoError(
                 f"impacts at {impacts[-1].time:.9g} and {event.time:.9g} are closer "
                 f"than MIN_INTER_IMPACT={MIN_INTER_IMPACT:g}")
-        raw_post = as_state(spec.reset(event.pre_state))
-        if (np.max(np.abs(raw_post - event.pre_state)) <= spec.event_tol
-                and abs(float(spec.guard(raw_post))) <= spec.event_tol):
-            raise ZenoError(
-                "reset returned the pre-impact state: the trajectory is stuck "
-                "on the guard and would re-trigger immediately")
-        post = apply_reset(spec, event.pre_state)
-        event = ImpactEvent(event.time, event.pre_state, post, event.guard_residual)
+        state = apply_reset(spec, event.pre_state)
+        event = replace(event, post_state=state)
         impacts.append(event)
-        state = post
         t = event.time
     return HybridTrajectory(segments=tuple(segments), impacts=tuple(impacts),
                             t0=t0, tf=tf)

@@ -7,7 +7,7 @@ numerical differentiation (Bock, 1981): the state is flowed once, and the
 sensitivity is carried through the stages of the state's own accepted
 DOP853 steps with no error control of its own, so it is the derivative of
 the computed flow with its step sizes frozen. On the last step of each leg
-it is the derivative of the dense output at the stop. Each impact
+it is the derivative of the dense output at the stop. The impact
 multiplies the sensitivity by its saltation matrix, and the return is
 projected along the flow onto the section. The eigenvalues are checked
 against the reset-rank and symmetry lower bounds.
@@ -22,10 +22,11 @@ import numpy as np
 
 from . import _dop853, _fd
 from .hybrid import (
+    DEFAULT_TOL,
     RISING,
     TANGENT_TOL,
+    _DIRECTIONS,
     HybridSystemSpec,
-    NoImpactError,
     TangentialCrossingError,
     as_state,
     _flow,
@@ -33,13 +34,12 @@ from .hybrid import (
     integrate_segment,
 )
 
-MAX_CYCLES = 4  # hybrid cycles a return may take
 TOL_LAMBDA0 = 1e-4
 TOL_LAMBDA1 = 1e-4
 RANK_RTOL = 1e-8
 EIGEN_RESIDUAL_RTOL = 1e-8  # sigma_min(A - lambda I), relative to ||A||_2
 CHART_TOL = 1e-10  # orthonormality of a section chart and its normal defect
-DEPARTURE_SKIP = 1e-9  # s after a leg's start before a section crossing counts
+DEPARTURE_SKIP = 1e-9  # s after the impact before a section crossing counts
 
 # The DOP853 tableau with the step's end and extra stages (Hairer, Norsett &
 # Wanner, Solving ODEs I, Sec. II.5-II.6); rows 0.._STAGES - 1 make a step.
@@ -62,6 +62,10 @@ class PoincareSection:
     normal: np.ndarray           # unit vector
     chart: np.ndarray            # (dim, dim-1) orthonormal columns, all _|_ normal
     crossing_direction: str = RISING
+
+    def __post_init__(self):
+        if self.crossing_direction not in _DIRECTIONS:
+            raise ValueError(f"crossing_direction must be one of {_DIRECTIONS}")
 
     def to_chart(self, state) -> np.ndarray:
         s = as_state(state)
@@ -108,7 +112,7 @@ def transversal_section(field, anchor) -> PoincareSection:
 
 
 def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
-                   tol: float = 1e-10) -> float:
+                   tol: float = DEFAULT_TOL) -> float:
     """First positive time at which the flow from `state` reaches the guard."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -117,42 +121,39 @@ def time_to_impact(spec: HybridSystemSpec, state, t_max: float,
 
 
 def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
-           t_max: float, tol: float, require_impact: bool, legs=None):
-    """Flow and reset from `start` until the section is crossed; the hit state.
+           t_max: float, tol: float, legs=None):
+    """Flow to the guard, reset, and flow on to the section; the hit state.
 
-    With require_impact a crossing only counts after at least one reset has
-    fired. When `legs` is a list, each smooth leg appends
-    (steps, t_stop, end, post) to it: `_flow`'s record of the leg's steps,
-    the time and state at which it stops, and the reset state that starts
-    the next leg (None for the leg that hits the section).
+    A section crossing before the impact does not count. A flow that does
+    not reach the guard within t_max, or that reaches it a second time
+    before the section, raises NoReturnError. When `legs` is a list, the
+    two smooth legs are appended to it: (steps, t_impact, pre, post) for
+    the flow to the guard and (steps, t_hit) for the flow to the section,
+    steps being `_flow`'s record of the leg's steps.
     """
     normal, anchor = section.normal, section.anchor
 
     def offset(z):
         return float(normal @ (z - anchor))
 
-    state = start
-    t = 0.0
-    for impacts in range(MAX_CYCLES + 1):
-        watch = None
-        if impacts > 0 or not require_impact:
-            # Ignore the immediate departure from the section itself.
-            watch = (offset, section.crossing_direction, t + DEPARTURE_SKIP)
-        steps = None if legs is None else []
-        _, event, hit = _flow(spec, state, t, t + t_max, tol, watch, steps)
-        if hit is not None:
-            if legs is not None:
-                legs.append((steps, hit[0], hit[1], None))
-            return hit[1]
-        if event is None:
-            raise NoReturnError(
-                f"no section return within t_max={t_max:g} "
-                f"after {impacts} impact(s)")
-        state = apply_reset(spec, event.pre_state)
-        if legs is not None:
-            legs.append((steps, event.time, event.pre_state, state))
-        t = event.time
-    raise NoReturnError(f"no section return within {MAX_CYCLES} hybrid cycles")
+    first = None if legs is None else []
+    _, event, _ = _flow(spec, start, 0.0, t_max, tol, None, first)
+    if event is None:
+        raise NoReturnError(f"no impact within t_max={t_max:g}")
+    t = event.time
+    post = apply_reset(spec, event.pre_state)
+    # A reset state on the section departs from it; that is no return.
+    watch = (offset, section.crossing_direction, t + DEPARTURE_SKIP)
+    second = None if legs is None else []
+    _, again, hit = _flow(spec, post, t, t + t_max, tol, watch, second)
+    if hit is None:
+        raise NoReturnError(
+            f"no section return within t_max={t_max:g} after the impact"
+            if again is None else
+            f"a second impact at t={again.time:.9g} came before the section")
+    if legs is not None:
+        legs += [(first, t, event.pre_state, post), (second, hit[0])]
+    return hit[1]
 
 
 def return_map(
@@ -160,17 +161,16 @@ def return_map(
     section: PoincareSection,
     chart_point,
     t_max: float = 20.0,
-    tol: float = 1e-10,
-    require_impact: bool = True,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """One full hybrid cycle from a chart point back to the section.
+    """One hybrid cycle from a chart point back to the section.
 
-    By default a crossing only counts after at least one reset has fired, so
-    the map is the flow -> reset -> flow composition of one stance cycle.
+    The map is the flow -> reset -> flow composition of one stance cycle:
+    a section crossing counts only after the one impact, and a second
+    impact before it raises NoReturnError.
     """
-    hit = _cycle(spec, section, section.lift(chart_point), t_max, tol,
-                 require_impact)
-    return section.to_chart(hit)
+    return section.to_chart(
+        _cycle(spec, section, section.lift(chart_point), t_max, tol))
 
 
 def _transition(dfield, steps, t_stop: float) -> np.ndarray:
@@ -239,20 +239,20 @@ def jacobian(
     spec: HybridSystemSpec,
     section: PoincareSection,
     t_max: float = 20.0,
-    tol: float = 1e-10,
-    require_impact: bool = True,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Jacobian of the computed return map at the anchor, in chart coordinates.
 
     Internal numerical differentiation (Bock, 1981): the state is flowed
     once, as `return_map` flows it, and the sensitivity Phi is carried
     through the stages of the state's own accepted DOP853 steps with no
-    error control of its own (`_transition`); on each leg's last step Phi is
-    the derivative of the dense output at the stop. Phi is multiplied by the
-    saltation matrix at each impact and projected along the flow onto the
-    section at the return: chart^T (I - f n^T / (n . f)) Phi chart. The
-    field's derivative is spec.vector_field_jacobian, or central differences
-    when that is unset, taken once per leg on the stack of its stage states.
+    error control of its own (`_transition`); on each leg's last step it is
+    the derivative of the dense output at the stop. With T1 and T2 the two
+    legs' derivatives and Xi the impact's saltation matrix, Phi = T2 (Xi T1)
+    is projected along the flow onto the section at the return:
+    chart^T (I - f n^T / (n . f)) Phi chart. The field's derivative is
+    spec.vector_field_jacobian, or central differences when that is unset,
+    taken once per leg on the stack of its stage states.
     """
     n = section.anchor.size
     field = spec.vector_field
@@ -260,21 +260,19 @@ def jacobian(
         lambda xs: np.array([_fd.jacobian(field, x) for x in xs]))
     legs = []
     try:
-        x = _cycle(spec, section, section.anchor, t_max, tol, require_impact,
-                   legs)
+        x = _cycle(spec, section, section.anchor, t_max, tol, legs)
         f = np.asarray(field(x), dtype=float)
         rate = float(section.normal @ f)
         if abs(rate) < TANGENT_TOL:
             raise TangentialCrossingError(
                 f"flow crosses the section tangentially: n . f = {rate:.3e}")
-    except (NoReturnError, NoImpactError, TangentialCrossingError) as exc:
+    except (NoReturnError, TangentialCrossingError) as exc:
         raise RuntimeError(f"return map not differentiable at the anchor: "
                            f"{exc}") from exc
-    phi = np.eye(n)
-    for steps, t_stop, end, post in legs:
-        phi = _transition(dfield, steps, t_stop) @ phi
-        if post is not None:
-            phi = _saltation(spec, end, post) @ phi
+    (steps1, t_impact, pre, post), (steps2, t_hit) = legs
+    t1 = _transition(dfield, steps1, t_impact)
+    xi = _saltation(spec, pre, post)
+    phi = _transition(dfield, steps2, t_hit) @ (xi @ t1)
     project = np.eye(n) - np.outer(f, section.normal) / rate
     return section.chart.T @ project @ phi @ section.chart
 

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import certified, control, models, poincare, symmetry
-from .hybrid import HybridSystemSpec, run_hybrid
+from .hybrid import DEFAULT_TOL, EVENT_TOL, HybridSystemSpec, run_hybrid
 from .routh import routh_vector_field, routhian_eval
 
 _PARAM_KEYS = {
@@ -44,8 +44,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Numerics:
-    tol: float = 1e-10
-    event_tol: float = 1e-10
+    tol: float = DEFAULT_TOL
+    event_tol: float = EVENT_TOL
     t_max: float = 10.0
     max_impacts: int = 10_000
 

@@ -6,13 +6,14 @@ after twice the time-to-impact when the reset agrees with Phi on the guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _fd
 from .hybrid import (
+    DEFAULT_TOL,
     HybridSystemSpec,
     HybridTrajectory,
     NoImpactError,
@@ -161,17 +162,18 @@ class PeriodicOrbit:
 
 def construct_periodic_orbit(spec: HybridSystemSpec, sym: ReversalSymmetry,
                              seed, t_max: float,
-                             tol: float = 1e-10) -> PeriodicOrbit:
+                             tol: float = DEFAULT_TOL) -> PeriodicOrbit:
     """Build the symmetric periodic orbit through a fixed point of phi.
 
-    Flows from the seed to the first impact at t1, applies the reset (which
-    must coincide with phi at the impact state) and flows a further t1; both
-    halves go through the hybrid engine, so a guard crossing before 2*t1
-    raises ClosureError. Certifies the closure residual and the time
-    symmetry phi(gamma(t)) = gamma(2*t1 - t): time_symmetry_residual is its
-    largest defect over the first half's knots, read against the second
-    half's dense output. At t = 0 that defect is the closure, and at t = t1
-    the reset mismatch.
+    Flows from the seed to the first impact at t1, applies the reset once
+    through apply_reset (its post state must coincide with phi at the
+    impact state) and flows a further t1; both halves go through the
+    hybrid engine, so a guard crossing before 2*t1 raises ClosureError.
+    Certifies the closure residual and the time symmetry
+    phi(gamma(t)) = gamma(2*t1 - t): time_symmetry_residual is its largest
+    defect over the first half's knots, read against the second half's
+    dense output. At t = 0 that defect is the closure, and at t = t1 the
+    reset mismatch.
     """
     s0 = as_state(seed)
     if not is_fixed_point(sym, s0):
@@ -181,14 +183,12 @@ def construct_periodic_orbit(spec: HybridSystemSpec, sym: ReversalSymmetry,
     if event is None:
         raise NoImpactError(f"no guard crossing within t_max={t_max:g}")
     t1 = event.time
-    phi_pre = sym.phi(event.pre_state)
-    reset_pre = as_state(spec.reset(event.pre_state))
-    mismatch = float(np.max(np.abs(phi_pre - reset_pre)))
+    post = apply_reset(spec, event.pre_state)
+    mismatch = float(np.max(np.abs(sym.phi(event.pre_state) - post)))
     if mismatch > RESET_MATCH_TOL:
         raise ResetMismatchError(
             f"reset differs from the symmetry at the impact state by {mismatch:.3e}")
-    post = apply_reset(spec, event.pre_state)
-    event = type(event)(event.time, event.pre_state, post, event.guard_residual)
+    event = replace(event, post_state=post)
 
     seg2, crossing = integrate_segment(spec, post, t1, 2.0 * t1, tol=tol)
     if crossing is not None:

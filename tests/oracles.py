@@ -13,7 +13,7 @@ from routhsim.hybrid import (
     _flow,
     apply_reset,
 )
-from routhsim.poincare import DEPARTURE_SKIP, MAX_CYCLES, _saltation, return_map
+from routhsim.poincare import DEPARTURE_SKIP, _saltation, return_map
 
 
 def char_poly_coefficients(A):
@@ -94,10 +94,10 @@ def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
     """Return-map Jacobian at the anchor, in chart coordinates, from one
     error-controlled flow of (x, Phi) through `variational_spec`.
 
-    Phi is multiplied by the saltation matrix at each impact and projected
-    along the flow onto the section at the return, which counts only after
-    a reset. The step sizes follow the error of both x and Phi, so the flow
-    differs from the one `return_map` takes.
+    The flow has two legs: to the guard, where Phi is multiplied by the
+    saltation matrix, and from the reset on to the section, where Phi is
+    projected along the flow onto it. The step sizes follow the error of
+    both x and Phi, so the flow differs from the one `return_map` takes.
     """
     n = section.anchor.size
     aug = variational_spec(spec, n)
@@ -105,19 +105,14 @@ def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
     def offset(z):
         return float(section.normal @ (z[:n] - section.anchor))
 
-    z, t = np.concatenate([section.anchor, np.eye(n).ravel()]), 0.0
-    for impacts in range(MAX_CYCLES + 1):
-        watch = ((offset, section.crossing_direction, t + DEPARTURE_SKIP)
-                 if impacts else None)
-        _, event, hit = _flow(aug, z, t, t + t_max, tol, watch)
-        if hit is not None:
-            break
-        pre = event.pre_state[:n]
-        post = apply_reset(spec, pre)
-        phi = _saltation(spec, pre, post) @ event.pre_state[n:].reshape(n, n)
-        z, t = np.concatenate([post, phi.ravel()]), event.time
-    else:
-        raise RuntimeError("no section return")
+    z = np.concatenate([section.anchor, np.eye(n).ravel()])
+    _, event, _ = _flow(aug, z, 0.0, t_max, tol)
+    pre, t = event.pre_state[:n], event.time
+    post = apply_reset(spec, pre)
+    phi = _saltation(spec, pre, post) @ event.pre_state[n:].reshape(n, n)
+    watch = (offset, section.crossing_direction, t + DEPARTURE_SKIP)
+    _, _, hit = _flow(aug, np.concatenate([post, phi.ravel()]), t, t + t_max,
+                      tol, watch)
     x, phi = hit[1][:n], hit[1][n:].reshape(n, n)
     f = np.asarray(spec.vector_field(x), dtype=float)
     project = np.eye(n) - np.outer(f, section.normal) / float(section.normal @ f)

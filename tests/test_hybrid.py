@@ -426,10 +426,11 @@ class TestApplyReset:
         assert np.allclose(post, [0.0, 0.0])
 
     def test_outward_velocity_on_guard_rejected(self):
+        # The post state (1, 2) stays on the guard and moves out through it.
         spec = HybridSystemSpec(
             vector_field=lambda s: np.array([s[1], 0.0]),
             guard=lambda s: float(s[0]) - 1.0,
-            reset=lambda s: np.array([1.0, 1.0]),
+            reset=lambda s: np.array([1.0, 2.0]),
             guard_direction="rising",
         )
         with pytest.raises(AdmissibilityError):
@@ -444,6 +445,11 @@ class TestApplyReset:
         )
         post = apply_reset(spec, np.array([1.0, 1.0]))
         assert post[1] == -1.0
+
+    def test_stuck_reset_raises_zeno(self):
+        spec = sawtooth(reset=lambda s: np.array(s))
+        with pytest.raises(ZenoError):
+            apply_reset(spec, np.array([1.0, 0.0]))
 
     def test_off_guard_pre_state_rejected(self):
         with pytest.raises(ValueError):
@@ -471,6 +477,17 @@ class TestRunHybrid:
         spec = sawtooth(reset=lambda s: np.array([1.0 - 1e-9, 0.0]))
         with pytest.raises(ZenoError):
             run_hybrid(spec, [0.0, 0.0], 0.0, 3.0)
+
+    def test_one_reset_per_impact(self):
+        calls = []
+
+        def reset(s):
+            calls.append(1)
+            return np.array([0.0, 0.0])
+
+        traj = run_hybrid(sawtooth(reset=reset), [0.0, 0.0], 0.0, 3.5)
+        assert len(traj.impacts) == 3
+        assert len(calls) == 3
 
     def test_max_impacts_budget(self):
         spec = sawtooth(max_impacts=2)

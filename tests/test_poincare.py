@@ -6,7 +6,7 @@ import pytest
 
 import routhsim as rs
 from routhsim import poincare
-from routhsim.hybrid import HybridSystemSpec
+from routhsim.hybrid import HybridSystemSpec, ZenoError, _flow
 from routhsim.poincare import (
     check_spectral_bounds,
     eigenvalues,
@@ -80,6 +80,14 @@ class TestSectionGeometry:
             make_section([0.0, 0.0], [1.0, 0.0],
                          chart=np.array([[1.0], [0.0]]))
 
+    def test_bad_crossing_direction_rejected(self):
+        # A misspelt direction would otherwise scan for both directions.
+        with pytest.raises(ValueError, match="crossing_direction"):
+            make_section([0.5, 0.0], [1.0, 0.0], crossing_direction="Rising")
+        with pytest.raises(ValueError, match="crossing_direction"):
+            dataclasses.replace(make_section([0.5, 0.0], [1.0, 0.0]),
+                                crossing_direction="Rising")
+
     @pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0, 0.0],
                                         [0.0, np.nan, 0.0, 0.0],
                                         [0.0, np.inf, 0.0, 0.0]],
@@ -116,32 +124,57 @@ class TestReturnMap:
         with pytest.raises(poincare.NoReturnError):
             return_map(spec, sec, np.zeros(3), t_max=2.0)
 
+    def test_one_reset_per_cycle(self):
+        spec = rs.slip_hybrid_spec(CERT.params)
+        calls = []
+
+        def reset(s):
+            calls.append(1)
+            return spec.reset(s)
+
+        counted = dataclasses.replace(spec, reset=reset)
+        return_map(counted, rs.slip_section(CERT.seed), np.zeros(3), t_max=5.0)
+        assert len(calls) == 1
+
+    def test_stuck_reset_raises_zeno(self):
+        spec = HybridSystemSpec(vector_field=lambda s: np.array([1.0, 0.0]),
+                                guard=lambda s: float(s[0]) - 1.0,
+                                reset=lambda s: np.array(s))
+        with pytest.raises(ZenoError):
+            return_map(spec, make_section([0.5, 0.0], [1.0, 0.0]), [0.0],
+                       t_max=5.0)
+
+    def test_second_impact_before_section_raises(self):
+        # The reset lands past the section x = 0.5, so the flow meets the
+        # guard x = 1 again at t = 0.75 before it returns.
+        spec = HybridSystemSpec(vector_field=lambda s: np.array([1.0, 0.0]),
+                                guard=lambda s: float(s[0]) - 1.0,
+                                reset=lambda s: np.array([0.75, s[1]]))
+        sec = make_section([0.5, 0.0], [1.0, 0.0])
+        with pytest.raises(poincare.NoReturnError,
+                           match="second impact at t=0.75"):
+            return_map(spec, sec, [0.0], t_max=5.0)
+
 
 class TestJacobian:
     def test_monodromy_of_uncoupled_oscillators(self):
-        # Oscillator pair (omega = 1 and sqrt 2); the section orthogonal to
-        # the flow at (1, 0, 0, 0) returns after 2*pi with a closed-form map.
-        omega2 = np.sqrt(2.0)
-
-        def field(s):
-            x1, x2, v1, v2 = s
-            return np.array([v1, v2, -x1, -omega2 ** 2 * x2])
-
-        spec = no_guard(field)
-        anchor = np.array([1.0, 0.0, 0.0, 0.0])
-        sec = make_section(anchor, [0.0, 0.0, -1.0, 0.0],
-                           chart=np.column_stack([
-                               [1.0, 0.0, 0.0, 0.0],
-                               [0.0, 1.0, 0.0, 0.0],
-                               [0.0, 0.0, 0.0, 1.0]]),
-                           crossing_direction="rising")
-        jac = jacobian(spec, sec, t_max=8.0, require_impact=False)
-        a = 2.0 * np.pi * omega2
-        expected = np.array([
-            [1.0, 0.0, 0.0],
-            [0.0, np.cos(a), np.sin(a) / omega2],
-            [0.0, -omega2 * np.sin(a), np.cos(a)]])
-        np.testing.assert_allclose(jac, expected, atol=1e-8)
+        # Oscillator pair (omega = 1 and sqrt 2): the derivative of one
+        # smooth leg over 2*pi against the closed-form e^(A t).
+        omega = np.array([1.0, np.sqrt(2.0)])
+        A = np.block([[np.zeros((2, 2)), np.eye(2)],
+                      [-np.diag(omega ** 2), np.zeros((2, 2))]])
+        spec = no_guard(lambda s: A @ s)
+        steps = []
+        t = 2.0 * np.pi
+        _, event, _ = _flow(spec, [1.0, 0.0, 0.0, 0.0], 0.0, t, 1e-10,
+                            record=steps)
+        assert event is None
+        phi = poincare._transition(
+            lambda xs: np.broadcast_to(A, (len(xs), 4, 4)), steps, t)
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        expected = np.block([[np.diag(c), np.diag(s / omega)],
+                             [np.diag(-omega * s), np.diag(c)]])
+        np.testing.assert_allclose(phi, expected, rtol=0.0, atol=1e-8)
 
     def test_constant_return_map_rank_zero(self):
         # Reset to a fixed state makes the return map constant.

@@ -1,9 +1,11 @@
 """Reversal symmetries, fixed-point manifolds, and symmetric periodic orbits."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import routhsim as rs
-from routhsim.hybrid import HybridSystemSpec, NoImpactError, run_hybrid
+from routhsim.hybrid import HybridSystemSpec, NoImpactError, ZenoError, run_hybrid
 from routhsim.symmetry import (
     ClosureError,
     ResetMismatchError,
@@ -160,6 +162,28 @@ class TestPeriodicOrbit:
         with pytest.raises(ResetMismatchError):
             construct_periodic_orbit(spec, rs.slip_symmetry(), CERT.seed,
                                      t_max=5.0)
+
+    def test_one_reset_evaluation(self):
+        spec, sym, seed = certified_setup()
+        calls = []
+
+        def reset(s):
+            calls.append(1)
+            return spec.reset(s)
+
+        construct_periodic_orbit(dataclasses.replace(spec, reset=reset), sym,
+                                 seed, t_max=5.0)
+        assert len(calls) == 1
+
+    def test_stuck_reset_raises_zeno(self):
+        # Harmonic oscillator from (1, 0), reversed by (q, v) -> (q, -v),
+        # reaching the guard q = -1/2 with a reset that leaves it there.
+        spec = HybridSystemSpec(vector_field=lambda s: np.array([s[1], -s[0]]),
+                                guard=lambda s: -s[0] - 0.5,
+                                reset=lambda s: np.array(s))
+        with pytest.raises(ZenoError):
+            construct_periodic_orbit(spec, ReversalSymmetry(F=lambda q: q),
+                                     [1.0, 0.0], t_max=5.0)
 
     def test_family_of_orbits(self):
         spec, sym, seed = certified_setup()
