@@ -20,9 +20,15 @@ def gradient(f, x: np.ndarray) -> np.ndarray:
 
 
 def jacobian(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, columns = inputs."""
+    """Central-difference Jacobian of a vector function, columns = inputs.
+
+    A scalar function gives one row.
+    """
     x = np.asarray(x, dtype=float)
     h = steps(x)
-    return np.column_stack([(np.asarray(f(x + e), dtype=float)
-                             - np.asarray(f(x - e), dtype=float)) / (2.0 * hi)
-                            for e, hi in zip(np.diag(h), h)])
+    e = np.diag(h)
+    # Every value of a side in one array, so a scalar function pays for no
+    # 0-d array arithmetic; the result is C-ordered like a stacked one.
+    up = np.array([f(z) for z in x + e], dtype=float)
+    down = np.array([f(z) for z in x - e], dtype=float)
+    return ((up - down).reshape(x.size, -1) / (2.0 * h)[:, None]).T.copy()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ def as_state(x) -> np.ndarray:
     s = np.asarray(x, dtype=float)
     if s.ndim != 1 or s.size == 0 or s.size % 2 != 0:
         raise ValueError(f"state must be a 1-D vector of even length, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("state contains non-finite entries")
     return s
 
@@ -109,6 +109,9 @@ def as_state(x) -> np.ndarray:
 class HybridSystemSpec:
     """A vector field, guard function, reset map and event policy.
 
+    vector_field maps a state of shape (n,) to its n derivatives, as a
+    sequence of n floats or an (n,) array; the flow writes them into its
+    stage array as they come, and other callers wrap them in np.asarray.
     guard_direction selects the sign of d(guard)/dt at which crossings
     trigger; 'both' accepts either sign. vector_field_jacobian, when given,
     returns the closed-form Jacobian of vector_field: a state of shape (n,)
@@ -117,7 +120,7 @@ class HybridSystemSpec:
     on stacks, and falls back to central differences without it.
     """
 
-    vector_field: Callable[[np.ndarray], np.ndarray]
+    vector_field: Callable[[np.ndarray], Sequence[float] | np.ndarray]
     guard: Callable[[np.ndarray], float]
     reset: Callable[[np.ndarray], np.ndarray]
     guard_direction: str = RISING
@@ -197,7 +200,7 @@ def _critical_points(f: np.ndarray) -> np.ndarray:
     and a sign test on them misses no crossing. For a nonlinear event this
     is a heuristic.
     """
-    b = (_RANGE @ f).tolist()
+    b = _RANGE.dot(f).tolist()
     # min and max skip a NaN that is not first, hence the finiteness check.
     if not (-math.inf < min(b) <= 0.0 <= max(b) < math.inf
             and all(map(math.isfinite, b))):
@@ -213,9 +216,10 @@ def _samples(fn, dense, grid: np.ndarray, f0: float, states: np.ndarray):
     """fn on one step's grid (f0 at grid[0], states at the rest) and on the
     interior critical points of its fit: the merged, sorted times and values."""
     f = np.array([f0] + [float(fn(s)) for s in states])
-    extra = grid[0] + (grid[-1] - grid[0]) * _critical_points(f)
-    if extra.size == 0:
+    tau = _critical_points(f)
+    if tau.size == 0:
         return grid, f
+    extra = grid[0] + (grid[-1] - grid[0]) * tau
     t = np.concatenate([grid, extra])
     f = np.concatenate([f, [float(fn(s)) for s in dense(extra).T]])
     order = np.argsort(t, kind="stable")
@@ -294,16 +298,19 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
 
     The step is scipy's DOP853 inlined: its tableau, initial step, error
     norm and step-size controller at rtol = atol = tol, and its dense output
-    built from 3 extra stages (the parts held in `_dop853`). It takes the
-    same steps, to the bit, as `scipy.integrate.DOP853`, which the tests use
-    as its oracle, and calls
-    spec.vector_field directly. Each accepted step is sampled at _SUBSTEPS + 1
-    points of its dense output; where the degree-7 fit to an event's samples
-    may vanish on the step, the event is also sampled at the fit's interior
-    critical points (`_critical_points`). A pair of crossings inside one step
-    is then still seen: for an event affine in the state this holds whatever
-    the step length, for a nonlinear guard it is a heuristic. The flow stops
-    at the first step that holds a wanted guard crossing or, with
+    built from 3 extra stages (the parts held in `_dop853`). Its products
+    are `ndarray.dot`, the C routine `np.dot` dispatches to, so it takes
+    the same steps, to the bit, as `scipy.integrate.DOP853`, which the
+    tests use as its oracle. It calls spec.vector_field directly and writes
+    each result into a row of its stage array; a field whose first result
+    is not n values raises ValueError. Each accepted step is sampled at
+    _SUBSTEPS + 1 points of its dense output; where the degree-7 fit to an
+    event's samples may vanish on the step, the event is also sampled at the
+    fit's interior critical points (`_critical_points`). A pair of crossings
+    inside one step is then still seen: for an event affine in the state
+    this holds whatever the step length, for a nonlinear guard it is a
+    heuristic. The flow stops at the first step that holds a wanted guard
+    crossing or, with
     watch = (fn, direction, t_min), a wanted sign change of fn on a sample
     pair starting at or after t_min. Returns (Segment, ImpactEvent or None,
     watch hit as (time, state) or None); a watch hit later than the impact
@@ -327,7 +334,11 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
     # Stage derivatives: rows 0.._STAGES for the step (row 0 is f(y), row
     # _STAGES is f at the step's end), the rest for the dense output.
     K = np.empty((_dop853.N_STAGES_EXTENDED, y.size))
-    K[0] = field(y)
+    f0 = np.asarray(field(y), dtype=float)
+    if f0.shape != y.shape:
+        raise ValueError(f"vector_field must return {y.size} values, "
+                         f"got shape {f0.shape}")
+    K[0] = f0
     h_abs = _dop853.select_initial_step(
         lambda x: np.asarray(field(x), dtype=float), t, y, t_max, K[0],
         rtol, tol)
@@ -356,12 +367,12 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
             t_new = min(t + h_abs, t_max)
             h = h_abs = t_new - t
             for s, k, a in stages:
-                K[s] = field(y + np.dot(k, a) * h)
-            y_new = y + h * np.dot(k_step, _dop853.B)
+                K[s] = field(y + k.dot(a) * h)
+            y_new = y + h * k_step.dot(_dop853.B)
             K[_STAGES] = field(y_new)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(k_err, _dop853.E5) / scale
-            err3 = np.dot(k_err, _dop853.E3) / scale
+            err5 = k_err.dot(_dop853.E5) / scale
+            err3 = k_err.dot(_dop853.E3) / scale
             e5 = math.sqrt(err5.dot(err5)) ** 2
             e3 = math.sqrt(err3.dot(err3)) ** 2
             if e5 == 0 and e3 == 0:
@@ -377,19 +388,19 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
             rejected = True
 
         for s, k, a in extras:
-            K[s] = field(y + np.dot(k, a) * h)
+            K[s] = field(y + k.dot(a) * h)
         F = np.empty((_POWER, y.size))
         delta = y_new - y
         F[0] = delta
         F[1] = h * K[0] - delta
         F[2] = 2 * delta - h * (K[_STAGES] + K[0])
-        F[3:] = h * np.dot(_dop853.D, K)
+        F[3:] = h * _dop853.D.dot(K)
         if record is not None:
             record.append((t, h, y, K.copy()))
         K[0] = K[_STAGES]
         step = DenseStep(t, t_new, y, F)
         steps.append(step)
-        states = y + _BASIS @ F
+        states = y + _BASIS.dot(F)
         grid = t + h * _TAU
         grid[-1] = t_new
         t, y = t_new, y_new

@@ -106,17 +106,17 @@ def slip_mechanical(params: SlipParams) -> MechanicalSystem:
 
 
 def _stance_field(params: SlipParams, u_feedback):
-    """The closed-form stance field of a numpy state, on Python floats;
-    u_feedback(state) -> scalar adds spring-length actuation, None adds none."""
+    """The closed-form stance field of a numpy state, as a tuple of 4 Python
+    floats; u_feedback(state) -> scalar adds spring-length actuation, None
+    adds none."""
     g, kappa, l0, m = params.g, params.kappa, params.l0, params.m
 
     def field(s):
         xi, phi, xidot, phidot = s.tolist()
         u = 0.0 if u_feedback is None else float(u_feedback(s))
-        return np.array((
-            xidot, phidot,
-            xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u,
-            (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi))
+        return (xidot, phidot,
+                xi * phidot ** 2 - g * math.cos(phi) - kappa * (xi - l0) / m + u,
+                (g / xi) * math.sin(phi) - 2.0 * phidot * xidot / xi)
 
     return field
 

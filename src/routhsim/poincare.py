@@ -134,7 +134,7 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
     normal, anchor = section.normal, section.anchor
 
     def offset(z):
-        return float(normal @ (z - anchor))
+        return float(normal.dot(z - anchor))
 
     first = None if legs is None else []
     _, event, _ = _flow(spec, start, 0.0, t_max, tol, None, first)

@@ -51,7 +51,7 @@ class MechanicalSystem:
 
     def cyclic_inertia(self, x) -> float:
         val = float(self.inertia_cyclic(np.asarray(x, dtype=float)))
-        if not (np.isfinite(val) and val >= INERTIA_FLOOR):
+        if not (math.isfinite(val) and val >= INERTIA_FLOOR):
             raise SingularInertiaError(
                 f"cyclic inertia {val:.3e} is not finite or below "
                 f"{INERTIA_FLOOR:g}; the reduction is singular here")
@@ -64,8 +64,9 @@ class RouthianSystem:
 
     base: MechanicalSystem
     mu: float
-    # Model-supplied closed-form vector field; the generic finite-difference
-    # engine is used when absent.
+    # Model-supplied closed-form vector field, returning n floats as a
+    # sequence or an (n,) array; the generic finite-difference engine is
+    # used when absent.
     analytic_vector_field: Optional[Callable] = None
 
 
@@ -129,12 +130,13 @@ def _generic_field(sys: RouthianSystem):
 def routh_vector_field(sys: RouthianSystem):
     """First-order vector field of the Routh equations on the reduced tangent space.
 
-    The model's closed form when it supplies one, else the generic
-    finite-difference engine, which stays the reference the closed forms are
-    tested against.
+    The field returns an (n,) array: the model's closed form when it
+    supplies one, else the generic finite-difference engine, which stays the
+    reference the closed forms are tested against.
     """
     if sys.analytic_vector_field is not None:
-        return sys.analytic_vector_field
+        analytic = sys.analytic_vector_field
+        return lambda state: np.asarray(analytic(state), dtype=float)
     return _generic_field(sys)
 
 

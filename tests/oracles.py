@@ -57,6 +57,21 @@ def critical_points(f):
     return tau[(tau > 0.0) & (tau < 1.0)]
 
 
+def samples(fn, dense, grid, f0, states):
+    """The scan's samples of fn on one step: on the grid (f0 at grid[0],
+    states at the rest) and at the interior critical points of the fit,
+    merged and sorted. The extra times are formed before testing whether
+    there are any."""
+    f = np.array([f0] + [float(fn(s)) for s in states])
+    extra = grid[0] + (grid[-1] - grid[0]) * critical_points(f)
+    if extra.size == 0:
+        return grid, f
+    t = np.concatenate([grid, extra])
+    f = np.concatenate([f, [float(fn(s)) for s in dense(extra).T]])
+    order = np.argsort(t, kind="stable")
+    return t[order], f[order]
+
+
 def central_fd_return_jacobian(spec, section, h, **kwargs):
     """Return-map Jacobian by central differences of `return_map`, one
     chart direction at a time, with steps h * max(1, |anchor coordinate|).

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
@@ -21,13 +21,15 @@ from routhsim.hybrid import (
     as_state,
     apply_reset,
     _SUBSTEPS,
+    _TAU,
     _brent,
     _critical_points,
     _first_crossing,
+    _samples,
     integrate_segment,
     run_hybrid,
 )
-from oracles import critical_points, first_crossing, variational_spec
+from oracles import critical_points, first_crossing, samples, variational_spec
 
 NAN, INF = float("nan"), float("inf")
 
@@ -63,8 +65,9 @@ class TestAsState:
             as_state([1.0, 2.0, 3.0])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            as_state([1.0, np.nan])
+        for bad in (NAN, INF, -INF):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_state([1.0, bad])
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
@@ -189,6 +192,37 @@ class TestInlinedStep:
             integrate_segment(spec, [1.0, 0.0], 0.0, 2.0)
 
 
+class TestFieldContract:
+    """vector_field returns n floats as a sequence or an (n,) array."""
+
+    @staticmethod
+    def wrapped(wrap):
+        spec = rs.slip_hybrid_spec(rs.CERTIFIED_SLIP.params)
+        field = spec.vector_field
+        return dataclasses.replace(spec, vector_field=lambda s: wrap(field(s)))
+
+    def test_array_tuple_and_list_flow_alike(self):
+        seed = rs.CERTIFIED_SLIP.seed
+        runs = [integrate_segment(self.wrapped(wrap), seed, 0.0, 5.0)
+                for wrap in (np.array, tuple, list)]
+        (ref, ref_event), *others = runs
+        assert ref_event is not None
+        t = np.linspace(ref.t[0], ref.t[-1], 101)
+        for segment, event in others:
+            assert np.array_equal(segment.t, ref.t)
+            assert np.array_equal(segment.y, ref.y)
+            assert event.time == ref_event.time
+            assert np.array_equal(event.pre_state, ref_event.pre_state)
+            assert np.array_equal(segment.dense(t), ref.dense(t))
+
+    @pytest.mark.parametrize("wrap", [np.array, tuple], ids=["array", "tuple"])
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    def test_wrong_length_raises(self, wrap, size):
+        spec = self.wrapped(lambda f: wrap((tuple(f) * 2)[:size]))
+        with pytest.raises(ValueError, match="4 values"):
+            integrate_segment(spec, rs.CERTIFIED_SLIP.seed, 0.0, 5.0)
+
+
 class TestBrent:
     """The root-finder against scipy.optimize.brentq, its oracle."""
 
@@ -251,16 +285,26 @@ class TestScanHelpers:
     @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, NAN, INF, -INF]),
                               st.floats(-1e3, 1e3)),
                     min_size=_SUBSTEPS + 1, max_size=_SUBSTEPS + 1))
+    @example([1.0, -1.0, -2.0, -1.0, 0.5, 1.0, 0.5, -0.5, -1.0])
     def test_match_numpy_oracle(self, values):
         g = np.array(values)
         for direction in ("rising", "falling", "both"):
             for start in range(g.size + 1):
                 assert (_first_crossing(direction, g, start)
                         == first_crossing(direction, g, start))
+        # The samples as a step's states of one coordinate; any dense output
+        # serves, since both sides evaluate the same one at the same times.
+        grid = 2.0 + 0.125 * _TAU
+        states = g[1:, None]
+        dense = lambda t: np.cos(7.0 * t)[None]
         # inf - inf in the Bernstein map warns in both; the values are tested.
         with np.errstate(invalid="ignore", over="ignore"):
             np.testing.assert_array_equal(_critical_points(g),
                                           critical_points(g))
+            got = _samples(lambda s: s[0], dense, grid, g[0], states)
+            want = samples(lambda s: s[0], dense, grid, g[0], states)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_non_finite_coefficient_adds_no_points(self):
         # The samples change sign twice, so with finite values the fit has

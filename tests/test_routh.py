@@ -66,7 +66,7 @@ class TestRouthianEval:
         with pytest.raises(SingularInertiaError):
             routhian_eval(pendulum(), [1e-6], [0.0])
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_inertia_raises(self, value):
         base = pendulum().base
         sys = rs.RouthianSystem(
