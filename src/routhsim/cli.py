@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -20,7 +21,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every call."""
     parser = argparse.ArgumentParser(
         prog="routhsim",
         description="Hybrid Routhian systems: reduction, symmetric periodic "
@@ -44,7 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(args):
     try:
-        with open(args.scenario) as fh:
+        # Bytes: the YAML reader decodes them, and an undecodable file is
+        # its YAMLError.
+        with open(args.scenario, "rb") as fh:
             sc = parse_scenario(fh.read())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc

@@ -37,6 +37,12 @@ MODELS = tuple(_PARAM_KEYS)
 
 FLOAT_FMT = "%.17g"
 
+# libyaml's reader and writer where PyYAML was built with it, its pure-Python
+# ones otherwise; the resolvers, constructors and representers are PyYAML's
+# Python code either way, so both read and write the same documents.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class ScenarioError(ValueError):
     """Invalid scenario document: unknown key, bad type, or bad value."""
@@ -176,7 +182,13 @@ def _settings(cls, node, context):
 
 def parse_scenario(text) -> Scenario:
     """Parse a YAML scenario document (or an already-loaded mapping)."""
-    doc = yaml.safe_load(text) if isinstance(text, (str, bytes, io.IOBase)) else text
+    doc = text
+    if isinstance(text, (str, bytes, io.IOBase)):
+        try:
+            doc = yaml.load(text, Loader=_LOADER)
+        except (ValueError, IndexError) as exc:
+            # A value its explicit tag cannot take: `!!int x`, a bare `!!float`.
+            raise ScenarioError(f"scenario value cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a mapping")
     _check_mapping(doc, ("model", "task", "params", "seed", "numerics", "outputs"),
@@ -265,17 +277,20 @@ def _orbit(sc: Scenario):
 
 
 def write_trajectory_csv(path, names, segments, stride: int = 1):
-    """One row per retained sample; segment index marks the smooth arc."""
+    """One row per retained sample; segment index marks the smooth arc.
+
+    Each row is one `%` of a format built once per file, on Python floats:
+    FLOAT_FMT gives a float64 and its float the same text.
+    """
+    row = ",".join([FLOAT_FMT] * (len(names) + 1)) + ",%d\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("t," + ",".join(names) + ",segment\n")
         for idx, seg in enumerate(segments):
             keep = list(range(0, len(seg.t), stride))
             if keep[-1] != len(seg.t) - 1:
                 keep.append(len(seg.t) - 1)
-            for i in keep:
-                row = [FLOAT_FMT % seg.t[i]]
-                row += [FLOAT_FMT % v for v in np.atleast_1d(seg.y[i])]
-                fh.write(",".join(row) + f",{idx}\n")
+            fh.writelines(row % (t, *y, idx) for t, y in
+                          zip(seg.t[keep].tolist(), seg.y[keep].tolist()))
 
 
 def _plain(value):
@@ -398,10 +413,12 @@ def _task_check_suite(sc: Scenario):
     f = routh_vector_field(sys)
     d = sys.base.shape_dim
     inv = rev = routh = 0.0
+    # The residuals of symmetry.involution_residual and reversibility_residual
+    # and the Routhian's, all from one image phi(s) per sample.
     for s in rng.uniform(lo, hi, size=(1000, 2 * d)):
-        inv = max(inv, symmetry.involution_residual(sym, s))
-        rev = max(rev, symmetry.reversibility_residual(sym, f, s))
         img = sym.phi(s)
+        inv = max(inv, float(np.max(np.abs(sym.phi(img) - s))))
+        rev = max(rev, float(np.max(np.abs(f(img) + sym.dphi(s) @ f(s)))))
         routh = max(routh, abs(routhian_eval(sys, img[:d], img[d:])
                                - routhian_eval(sys, s[:d], s[d:])))
     checks = [_check("involution", inv, symmetry.INVOLUTION_TOL),
@@ -443,5 +460,5 @@ def run(sc: Scenario, out_dir=".") -> RunReport:
                        [float(ev.time) for ev in traj.impacts],
                        wall_seconds=float(wall))
     with open(os.path.join(out_dir, sc.outputs.report), "w", newline="\n") as fh:
-        yaml.safe_dump(report.as_dict(), fh, sort_keys=False)
+        yaml.dump(report.as_dict(), fh, Dumper=_DUMPER, sort_keys=False)
     return report

@@ -14,6 +14,7 @@ from routhsim.hybrid import (
     apply_reset,
 )
 from routhsim.poincare import DEPARTURE_SKIP, _saltation, return_map
+from routhsim.scenario import FLOAT_FMT
 
 
 def char_poly_coefficients(A):
@@ -132,3 +133,18 @@ def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
     f = np.asarray(spec.vector_field(x), dtype=float)
     project = np.eye(n) - np.outer(f, section.normal) / float(section.normal @ f)
     return section.chart.T @ project @ phi @ section.chart
+
+
+def write_trajectory_csv(path, names, segments, stride=1):
+    """The CSV writer that formats one value at a time: each retained row is
+    FLOAT_FMT of t and of each state entry, joined, plus the segment index."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t," + ",".join(names) + ",segment\n")
+        for idx, seg in enumerate(segments):
+            keep = list(range(0, len(seg.t), stride))
+            if keep[-1] != len(seg.t) - 1:
+                keep.append(len(seg.t) - 1)
+            for i in keep:
+                row = [FLOAT_FMT % seg.t[i]]
+                row += [FLOAT_FMT % v for v in np.atleast_1d(seg.y[i])]
+                fh.write(",".join(row) + f",{idx}\n")

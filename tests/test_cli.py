@@ -83,6 +83,20 @@ class TestInputErrors:
         assert code == EXIT_INPUT_ERROR
         assert "numerics." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        b"model: slip\ntask: simulate # \xff\n",
+        b"model: slip\ntask: [simulate\n",
+        b"model: slip\ntask: simulate\nparams: {kappa: !!float }\n",
+        b"model: slip\ntask: simulate\nnumerics: {max_impacts: !!int x}\n"],
+        ids=["not_utf8", "syntax_error", "empty_tagged_float", "bad_tagged_int"])
+    def test_unreadable_document(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        code = main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_out_is_an_existing_file(self, orbit_scenario, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

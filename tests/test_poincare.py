@@ -284,6 +284,41 @@ class TestJacobian:
             jacobian(spec, sec, t_max=5.0)
 
 
+class TestReversibleHalves:
+    @staticmethod
+    def gaits():
+        """The certified gait and 5 seeded gaits from the box kappa in
+        [49, 51], xi* in [0.795, 0.802], phidot* in [0.52, 0.58]."""
+        yield CERT.params, CERT.seed
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            yield (rs.SlipParams(kappa=rng.uniform(49.0, 51.0)),
+                   np.array([rng.uniform(0.795, 0.802), 0.0, 0.0,
+                             rng.uniform(0.52, 0.58)]))
+
+    def test_second_half_is_the_reflected_inverse_of_the_first(self):
+        # For a reversible field, the flow from phi(x) over t is phi of the
+        # flow from x over -t. The second half starts at reset = phi of the
+        # first half's end, so its transition matrix is
+        # T2 = Dphi T1^-1 Dphi (Lamb & Roberts, Physica D 112, 1998).
+        sym = rs.slip_symmetry()
+        for params, seed in self.gaits():
+            spec = rs.slip_hybrid_spec(params)
+            orbit = rs.construct_periodic_orbit(spec, sym, seed, t_max=5.0)
+            first, second = [], []
+            _, event, _ = _flow(spec, orbit.seed, 0.0, 5.0, 1e-10, None, first)
+            t1 = event.time
+            assert t1 == orbit.half_period
+            post = rs.apply_reset(spec, event.pre_state)
+            _flow(spec, post, t1, 2.0 * t1, 1e-10, None, second)
+            t1_map = poincare._transition(spec.vector_field_jacobian, first, t1)
+            t2_map = poincare._transition(spec.vector_field_jacobian, second,
+                                          2.0 * t1)
+            dphi = sym.dphi(orbit.seed)
+            reflected = dphi @ np.linalg.inv(t1_map) @ dphi
+            assert np.max(np.abs(t2_map - reflected)) <= 1e-7
+
+
 class TestEigenvalues:
     def test_identity(self):
         np.testing.assert_allclose(eigenvalues(np.eye(2)), [1.0, 1.0])

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 import routhsim as rs
-from routhsim import control, symmetry
+from routhsim import control, scenario, symmetry
 from routhsim.scenario import (
     TASKS,
     Numerics,
@@ -17,6 +17,7 @@ from routhsim.scenario import (
     parse_scenario,
     run,
     scenario_to_dict,
+    write_trajectory_csv,
 )
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
@@ -289,6 +290,45 @@ class TestRunArtifacts:
             dense_rows = list(csv.reader(fh))[1:]
         assert len(rows) < len(dense_rows)
         assert rows[-1][0] == dense_rows[-1][0]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_csv_matches_per_value_writer(self, stride, tmp_path):
+        # Stride 3 drops knots inside each segment but keeps its last one.
+        from oracles import write_trajectory_csv as oracle
+
+        for model, impacts in (("slip", 4), ("pendulum", 0)):
+            sc = parse_scenario({"model": model, "task": "simulate"})
+            traj = rs.run_hybrid(scenario._spec(sc), scenario._default_seed(sc),
+                                 0.0, 6.0)
+            names = scenario._STATE_NAMES[model]
+            assert len(traj.impacts) == impacts
+            assert any((len(seg.t) - 1) % 3 for seg in traj.segments)
+            write_trajectory_csv(tmp_path / "new.csv", names, traj.segments,
+                                 stride=stride)
+            oracle(tmp_path / "old.csv", names, traj.segments, stride=stride)
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes())
+
+    @pytest.mark.parametrize("doc", [
+        "model: slip\ntask: check_suite\nparams: {kappa: 50.0, l0: 1.0}\n",
+        "model: pendulum\ntask: check_suite\n"], ids=["slip", "pendulum"])
+    def test_check_suite_residuals_are_the_symmetry_functions(self, doc, tmp_path):
+        # One image phi(s) per sample gives the residuals that
+        # involution_residual and reversibility_residual give, as floats.
+        sc = parse_scenario(doc)
+        results = run(sc, out_dir=str(tmp_path)).results
+        if sc.model == "slip":
+            sys = rs.slip_routhian(rs.SlipParams(**sc.params))
+            sym, lo, hi = rs.slip_symmetry(), [0.5, -1.3, -2.0, -3.0], [1.5, 1.3, 2.0, 3.0]
+        else:
+            sys = rs.pendulum_routhian(rs.PendulumParams(**sc.params))
+            sym, lo, hi = rs.pendulum_symmetry(), [0.5, -2.0], [2.0, 2.0]
+        f = rs.routh_vector_field(sys)
+        draws = np.random.default_rng(0).uniform(lo, hi, size=(1000, len(lo)))
+        assert results["involution_residual"] == max(
+            symmetry.involution_residual(sym, s) for s in draws)
+        assert results["reversibility_residual"] == max(
+            symmetry.reversibility_residual(sym, f, s) for s in draws)
 
     def test_check_suite_runs_clean(self, tmp_path):
         sc = parse_scenario("model: slip\ntask: check_suite\n"
