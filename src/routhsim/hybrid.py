@@ -8,18 +8,22 @@ directly; the tableau, first step and dense output come from the private
 `_dop853` module, so scipy is not imported. `scipy.integrate.DOP853` is the
 oracle the tests compare it with, step for step and bit for bit. This is
 the one place where crossings are found: the same scan also reports the
-first crossing of a watched function, which the Poincare return map uses
-for its section. The scan finds every crossing of an event that is affine
-in the state, however long the step (see `_critical_points`); for a
-nonlinear guard that coverage is a heuristic. Event times are refined by
-Brent's bracketing root-finder (`_brent`); the module then applies the
-reset map and enforces anti-Zeno and post-reset admissibility conditions.
+first crossing of a watched hyperplane, which the Poincare return map uses
+for its section. The scan is exact for a guard declared affine
+(`HybridSystemSpec.guard_gradient`) and for every section: a step is
+skipped only when the Bernstein enclosure of the event along its dense
+output, taken from the step's own coefficients, proves that the samples
+cannot change sign, and every other step is sampled and covered whatever
+its length (see `_critical_points`). For an undeclared nonlinear guard that
+coverage is a heuristic. Event times are refined by Brent's bracketing
+root-finder (`_brent`); the module then applies the reset map and enforces
+anti-Zeno and post-reset admissibility conditions.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +64,21 @@ _POWER = _dop853.INTERPOLATOR_POWER  # rows of F: 3 from the step's ends, 4 from
 _TAU = np.linspace(0.0, 1.0, _SUBSTEPS + 1)
 _BASIS = np.array([[x ** (j // 2 + 1) * (1.0 - x) ** ((j + 1) // 2)
                     for j in range(_POWER)] for x in _TAU[1:]])
+# The dense output in the degree-7 Bernstein basis
+# B_i = C(7, i) x^i (1 - x)^(7 - i), which sums to 1: column 0 takes y_old,
+# and column j + 1 takes the term x^a (1 - x)^(j + 1 - a), a = j // 2 + 1,
+# which times (x + 1 - x)^(6 - j) is sum_k C(6 - j, k) / C(7, a + k) B_(a + k).
+# So an event n . y + b along a step has the Bernstein coefficients
+# _HULL @ (n . y_old, F @ n) + b, whose range encloses it on the step
+# (Farouki, CAGD 29, 2012).
+_HULL = np.array([[1.0] + [math.comb(_DEGREE - 1 - j, i - j // 2 - 1)
+                           / math.comb(_DEGREE, i) if i > j // 2 else 0.0
+                           for j in range(_POWER)]
+                  for i in range(_DEGREE + 1)])
+# Rounding allowance of the enclosure test, in units of 2^-53 plus 4 per
+# state entry; see `_side`.
+_HULL_ULPS = 256
+_SQRT_ROWS = math.sqrt(_POWER + 1)
 
 RISING = "rising"
 FALLING = "falling"
@@ -118,6 +137,13 @@ class HybridSystemSpec:
     gives an (n, n) matrix, and a stack of states of shape (k, n) gives a
     (k, n, n) stack of matrices. The exact return-map linearization calls it
     on stacks, and falls back to central differences without it.
+    guard_gradient, when given, declares the guard affine in the state:
+    guard(s) = guard_gradient . s + b for a constant b, computed in floating
+    point as a sum of those n + 1 terms in any order. The flow then skips
+    the guard on every step where the guard's Bernstein enclosure keeps one
+    strict sign, and calls it only on the other steps; a wrong gradient can
+    hide a crossing. It must be a finite 1-D array of the state's length.
+    guard_rate and the saltation matrix still difference the guard.
     """
 
     vector_field: Callable[[np.ndarray], Sequence[float] | np.ndarray]
@@ -127,8 +153,15 @@ class HybridSystemSpec:
     max_impacts: int = 10_000
     event_tol: float = EVENT_TOL
     vector_field_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # Left out of == and hash: it changes no result, and an array is unhashable.
+    guard_gradient: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.guard_gradient is not None:
+            grad = np.asarray(self.guard_gradient, dtype=float)
+            if grad.ndim != 1 or not np.isfinite(grad).all():
+                raise ValueError("guard_gradient must be a finite 1-D array")
+            object.__setattr__(self, "guard_gradient", grad)
         if self.guard_direction not in _DIRECTIONS:
             raise ValueError(f"guard_direction must be one of {_DIRECTIONS}")
         if not 0.0 < self.event_tol < math.inf:
@@ -195,10 +228,10 @@ def _critical_points(f: np.ndarray) -> np.ndarray:
     step. None are returned when the fit's Bernstein coefficients are all
     of one strict sign (the fit has no zero on the step), or when one is
     not finite (the sign test then sees only the samples). For an event
-    affine in the state the fit is the event along DOP853's degree-7 dense
-    output, so between these points and the samples the event is monotone
-    and a sign test on them misses no crossing. For a nonlinear event this
-    is a heuristic.
+    affine in the state (a section, or a guard declared affine or not) the
+    fit is the event along DOP853's degree-7 dense output, so between these
+    points and the samples the event is monotone and a sign test on them
+    misses no crossing. Only for a nonlinear guard is this a heuristic.
     """
     b = _RANGE.dot(f).tolist()
     # min and max skip a NaN that is not first, hence the finiteness check.
@@ -210,6 +243,51 @@ def _critical_points(f: np.ndarray) -> np.ndarray:
     # A double root can come back as a complex pair split by rounding.
     tau = roots.real[np.abs(roots.imag) <= ROOT_IMAG_TOL]
     return tau[(tau > 0.0) & (tau < 1.0)]
+
+
+def _affine(normal: np.ndarray, shift: float, scale: float, dim: int):
+    """The enclosure test's view of the event normal . s + shift in a flow of
+    `dim` state entries: (normal, shift, slope, floor) for `_side`, scale
+    bounding the rounding of shift and of the event's own evaluation."""
+    rounding = (4 * dim + _HULL_ULPS) * 2.0 ** -53
+    return (normal, shift, rounding * math.sqrt(normal.dot(normal)),
+            rounding * scale)
+
+
+def _side(hull, YF: np.ndarray, size: float) -> int:
+    """+1 or -1 when an affine event keeps that strict sign at every sample
+    the scan could take on a step, else 0.
+
+    hull is `_affine`'s tuple, YF stacks the step's y_old over its dense
+    rows F, and size is sqrt(8) ||YF||_F, which bounds
+    ||y_old|| + sum_j ||F_j||. The event along the step is a degree-7
+    polynomial P in x; its Bernstein coefficients
+    c = _HULL @ (YF @ n) + shift enclose P on [0, 1], and the first is
+    n . y_old + shift. The step is one-signed when every computed c clears
+    margin = slope * size + floor. With u = 2^-53, N state entries and
+    A = ||n|| size, which bounds sum_k |n_k| (|y_old_k| + sum_j |F_jk|)
+    (Cauchy-Schwarz), the margin of (4 N + _HULL_ULPS) u (A + scale) covers:
+    - the rounding of c: an N-term dot, _HULL to within u and its 8-term
+      dot, and the addition of shift, (N + 12) u A in all; and that of
+      shift, which is within (2 N + 3) u scale;
+    - the rounding of any sample: a grid state y_old + _BASIS @ F (_BASIS
+      within 3 u, a 7-term dot, one addition), or a critical-point state by
+      Horner at an x within 4 u of [0, 1], where |P'| <= 14 max |c|: at most
+      72 u (A + scale) off P on [0, 1]; then the event's own (N + 1)-term
+      sum, (N + 2) u (A + scale).
+    So no sample of the step, and no critical point's, can have the other
+    sign or be zero. NaN or overflow in YF makes the margin NaN or
+    infinite, and the step is not one-signed.
+    """
+    normal, shift, slope, floor = hull
+    c = _HULL.dot(YF.dot(normal)).tolist()
+    margin = slope * size + floor
+    # fl(x + shift) is monotone in x, so these are the extreme coefficients.
+    if min(c) + shift > margin:
+        return 1
+    if max(c) + shift < -margin:
+        return -1
+    return 0
 
 
 def _samples(fn, dense, grid: np.ndarray, f0: float, states: np.ndarray):
@@ -268,8 +346,10 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                den = dblk * dpre * (fblk - fpre)
+                # An underflowed den gives inf or NaN in C, and a bisection.
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -303,20 +383,28 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
     the same steps, to the bit, as `scipy.integrate.DOP853`, which the
     tests use as its oracle. It calls spec.vector_field directly and writes
     each result into a row of its stage array; a field whose first result
-    is not n values raises ValueError. Each accepted step is sampled at
-    _SUBSTEPS + 1 points of its dense output; where the degree-7 fit to an
-    event's samples may vanish on the step, the event is also sampled at the
-    fit's interior critical points (`_critical_points`). A pair of crossings
-    inside one step is then still seen: for an event affine in the state
-    this holds whatever the step length, for a nonlinear guard it is a
-    heuristic. The flow stops at the first step that holds a wanted guard
-    crossing or, with
-    watch = (fn, direction, t_min), a wanted sign change of fn on a sample
-    pair starting at or after t_min. Returns (Segment, ImpactEvent or None,
-    watch hit as (time, state) or None); a watch hit later than the impact
-    in the same step is dropped. When `record` is a list, each accepted step
-    appends (t_old, h, y_old, K) to it, K a copy of the step's 16 stage
-    derivatives (rows as in `_dop853.A_FULL`); the flow itself is unchanged.
+    is not n values raises ValueError.
+
+    The flow stops at the first step that holds a wanted guard crossing or,
+    with watch = (normal, anchor, direction, t_min), a wanted sign change of
+    normal . (s - anchor) on a sample pair starting at or after t_min. An
+    affine event (the watch, and a guard with spec.guard_gradient) is first
+    tested on each step by its Bernstein enclosure (`_side`), one product
+    with the step's dense rows F: a step on which it provably keeps the
+    sign of its last sample is not sampled, and the event is not called
+    there. Every other step, and every step of an undeclared guard, is
+    sampled at _SUBSTEPS + 1 points of its dense output; where the degree-7
+    fit to an event's samples may vanish on the step, the event is also
+    sampled at the fit's interior critical points (`_critical_points`). A
+    pair of crossings inside one step is then still seen: for an affine
+    event this holds whatever the step length, for an undeclared nonlinear
+    guard it is a heuristic. Skipping changes no sample, crossing or event
+    time, only which samples are taken. Returns (Segment, ImpactEvent or
+    None, watch hit as (time, state) or None); a watch hit later than the
+    impact in the same step is dropped. When `record` is a list, each
+    accepted step appends (t_old, h, y_old, K) to it, K a copy of the step's
+    16 stage derivatives (rows as in `_dop853.A_FULL`); the flow itself is
+    unchanged.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -348,13 +436,33 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
     k_step, k_err = K[:_STAGES].T, K[:_STAGES + 1].T
 
     ts, ys, steps = [t], [y], []
+    # g_prev (w_prev) is the guard (watch) at the last sample of the previous
+    # step, or None when that step was skipped; g_side (w_side) is its sign.
     g_prev = float(spec.guard(y))
+    g_side = (g_prev > 0.0) - (g_prev < 0.0)
     # A segment that starts on the guard (post-reset case) skips its leading
     # on-guard samples so the departure is not mistaken for a crossing.
     on_guard = abs(g_prev) <= spec.event_tol
+    g_hull = w_hull = None
+    grad = spec.guard_gradient
+    if grad is not None:
+        if grad.shape != y.shape:
+            raise ValueError(f"guard_gradient must have {y.size} entries, "
+                             f"got shape {grad.shape}")
+        shift = g_prev - float(grad.dot(y))
+        g_hull = _affine(grad, shift, math.sqrt(grad.dot(grad) * y.dot(y))
+                         + abs(shift), y.size)
     if watch is not None:
-        fn, w_direction, t_min = watch
-        w_prev = float(fn(y))
+        normal, anchor, w_direction, t_min = watch
+
+        def fn(z):
+            return float(normal.dot(z - anchor))
+
+        w_prev = fn(y)
+        w_side = (w_prev > 0.0) - (w_prev < 0.0)
+        w_hull = _affine(normal, -float(normal.dot(anchor)),
+                         math.sqrt(normal.dot(normal) * anchor.dot(anchor)),
+                         y.size)
     event = hit = None
     while event is None and hit is None and t < t_max:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -389,7 +497,10 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
 
         for s, k, a in extras:
             K[s] = field(y + k.dot(a) * h)
-        F = np.empty((_POWER, y.size))
+        # y_old over the dense rows, for `_side`'s one product per event.
+        YF = np.empty((_POWER + 1, y.size))
+        YF[0] = y
+        F = YF[1:]
         delta = y_new - y
         F[0] = delta
         F[1] = h * K[0] - delta
@@ -400,25 +511,47 @@ def _flow(spec: HybridSystemSpec, start, t_start: float, t_max: float,
         K[0] = K[_STAGES]
         step = DenseStep(t, t_new, y, F)
         steps.append(step)
-        states = y + _BASIS.dot(F)
-        grid = t + h * _TAU
-        grid[-1] = t_new
-        t, y = t_new, y_new
+        y_old = y
+        t_old, t, y = t, t_new, y_new
         ts.append(t)
         ys.append(y)
 
-        tg, g = _samples(spec.guard, step, grid, g_prev, states)
-        g_prev = g[-1]
-        first = 0
-        if on_guard:
-            off = np.flatnonzero(np.abs(g) > spec.event_tol)
-            on_guard = off.size == 0
-            first = g.size if on_guard else int(off[0])
-        i = _first_crossing(spec.guard_direction, g, first)
-        j = None
-        if watch is not None:
+        if g_hull is not None or w_hull is not None:
+            f = YF.ravel()
+            size = _SQRT_ROWS * math.sqrt(f.dot(f))
+        scan_guard = (on_guard or g_hull is None or not g_side
+                      or _side(g_hull, YF, size) != g_side)
+        scan_watch = (w_hull is not None
+                      and (not w_side or _side(w_hull, YF, size) != w_side))
+        if not scan_guard:
+            g_prev = None
+        if not scan_watch:
+            w_prev = None
+        if not (scan_guard or scan_watch):
+            continue
+        states = y_old + _BASIS.dot(F)
+        grid = t_old + h * _TAU
+        grid[-1] = t
+        i = j = None
+        if scan_guard:
+            # A skipped step's last sample is y_old + F[0] (_BASIS's x = 1 row).
+            if g_prev is None:
+                g_prev = float(spec.guard(steps[-2].y_old + steps[-2].F[0]))
+            tg, g = _samples(spec.guard, step, grid, g_prev, states)
+            g_prev = float(g[-1])
+            g_side = (g_prev > 0.0) - (g_prev < 0.0)
+            first = 0
+            if on_guard:
+                off = np.flatnonzero(np.abs(g) > spec.event_tol)
+                on_guard = off.size == 0
+                first = g.size if on_guard else int(off[0])
+            i = _first_crossing(spec.guard_direction, g, first)
+        if scan_watch:
+            if w_prev is None:
+                w_prev = fn(steps[-2].y_old + steps[-2].F[0])
             tw, w = _samples(fn, step, grid, w_prev, states)
-            w_prev = w[-1]
+            w_prev = float(w[-1])
+            w_side = (w_prev > 0.0) - (w_prev < 0.0)
             j = _first_crossing(w_direction, w, int(np.searchsorted(tw, t_min)))
         if i is None and j is None:
             continue

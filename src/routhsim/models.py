@@ -180,13 +180,15 @@ def slip_hybrid_spec(params: SlipParams, u_feedback=None) -> HybridSystemSpec:
 
     Without feedback the spec carries the closed-form field Jacobian; with
     it, the feedback's derivative is unknown and linearization falls back to
-    central differences.
+    central differences. Either way the guard xi - l0 is declared affine,
+    with gradient e_0.
     """
     jac = partial(slip_field_jacobian, params) if u_feedback is None else None
     return HybridSystemSpec(vector_field=_stance_field(params, u_feedback),
                             guard=slip_guard(params),
                             reset=slip_reset(params), guard_direction=RISING,
-                            vector_field_jacobian=jac)
+                            vector_field_jacobian=jac,
+                            guard_gradient=np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def slip_system(params: SlipParams):

@@ -131,11 +131,6 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
     the flow to the guard and (steps, t_hit) for the flow to the section,
     steps being `_flow`'s record of the leg's steps.
     """
-    normal, anchor = section.normal, section.anchor
-
-    def offset(z):
-        return float(normal.dot(z - anchor))
-
     first = None if legs is None else []
     _, event, _ = _flow(spec, start, 0.0, t_max, tol, None, first)
     if event is None:
@@ -143,7 +138,8 @@ def _cycle(spec: HybridSystemSpec, section: PoincareSection, start,
     t = event.time
     post = apply_reset(spec, event.pre_state)
     # A reset state on the section departs from it; that is no return.
-    watch = (offset, section.crossing_direction, t + DEPARTURE_SKIP)
+    watch = (section.normal, section.anchor, section.crossing_direction,
+             t + DEPARTURE_SKIP)
     second = None if legs is None else []
     _, again, hit = _flow(spec, post, t, t + t_max, tol, watch, second)
     if hit is None:

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,9 +72,13 @@ class Outputs:
     stride: int = 1
 
     def __post_init__(self):
+        # A plain file name, so that every output lands inside --out.
         for name in ("trajectory", "report"):
-            if not getattr(self, name):
-                raise ScenarioError(f"outputs.{name} must be a non-empty file name")
+            value = getattr(self, name)
+            if (not value or value in (".", "..") or os.path.isabs(value)
+                    or any(c and c in value for c in ("\0", "/", os.sep, os.altsep))):
+                raise ScenarioError(f"outputs.{name} must be a plain file name, "
+                                    f"got {value!r}")
         if self.stride < 1:
             raise ScenarioError("outputs.stride must be >= 1")
 
@@ -248,13 +253,15 @@ def _default_seed(sc: Scenario) -> np.ndarray:
 def _spec(sc: Scenario) -> HybridSystemSpec:
     """The model's hybrid system with the scenario's event settings.
 
-    The pendulum has no impacts: its guard never fires and its reset is the
-    identity.
+    The pendulum has no impacts: its guard is the constant -1, declared
+    affine with a zero gradient so that the flow calls it once, and its
+    reset is the identity.
     """
     if sc.model == "pendulum":
         sys = models.pendulum_routhian(models.PendulumParams(**sc.params))
         spec = HybridSystemSpec(vector_field=routh_vector_field(sys),
-                                guard=lambda s: -1.0, reset=lambda s: s)
+                                guard=lambda s: -1.0, reset=lambda s: s,
+                                guard_gradient=np.zeros(2))
     elif sc.model == "slip":
         spec = models.slip_hybrid_spec(_slip_params(sc))
     else:

@@ -93,7 +93,8 @@ def central_fd_return_jacobian(spec, section, h, **kwargs):
 def variational_spec(spec, n):
     """The flow of (x, Phi), Phi the n x n sensitivity, as one flat state.
 
-    Its field is (f(x), Df(x) Phi); its guard reads x only.
+    Its field is (f(x), Df(x) Phi); its guard reads x only and is not
+    declared affine, so the flow samples it on every step.
     """
     field, guard = spec.vector_field, spec.guard
     dfield = spec.vector_field_jacobian or (lambda x: _fd.jacobian(field, x))
@@ -103,7 +104,7 @@ def variational_spec(spec, n):
         return np.concatenate([field(x), (dfield(x) @ z[n:].reshape(n, n)).ravel()])
 
     return dataclasses.replace(spec, vector_field=augmented,
-                               guard=lambda z: guard(z[:n]))
+                               guard=lambda z: guard(z[:n]), guard_gradient=None)
 
 
 def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
@@ -117,16 +118,15 @@ def augmented_flow_jacobian(spec, section, t_max=20.0, tol=1e-10):
     """
     n = section.anchor.size
     aug = variational_spec(spec, n)
-
-    def offset(z):
-        return float(section.normal @ (z[:n] - section.anchor))
-
+    # The section as a hyperplane of (x, Phi) that does not read Phi.
+    normal, anchor = (np.concatenate([v, np.zeros(n * n)])
+                      for v in (section.normal, section.anchor))
     z = np.concatenate([section.anchor, np.eye(n).ravel()])
     _, event, _ = _flow(aug, z, 0.0, t_max, tol)
     pre, t = event.pre_state[:n], event.time
     post = apply_reset(spec, pre)
     phi = _saltation(spec, pre, post) @ event.pre_state[n:].reshape(n, n)
-    watch = (offset, section.crossing_direction, t + DEPARTURE_SKIP)
+    watch = (normal, anchor, section.crossing_direction, t + DEPARTURE_SKIP)
     _, _, hit = _flow(aug, np.concatenate([post, phi.ravel()]), t, t + t_max,
                       tol, watch)
     x, phi = hit[1][:n], hit[1][n:].reshape(n, n)

@@ -114,6 +114,21 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("outputs", ['{trajectory: "a\\0b"}',
+                                         "{report: ABS}",
+                                         "{trajectory: ../escaped.csv}"])
+    def test_output_name_outside_out(self, tmp_path, capsys, outputs):
+        out = tmp_path / "out"
+        outputs = outputs.replace("ABS", str(tmp_path / "escaped.yaml"))
+        path = tmp_path / "escape.yaml"
+        path.write_text(ORBIT_DOC + f"outputs: {outputs}\n")
+        code = main(["periodic_orbit", "--scenario", str(path),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: outputs.")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.yaml"]
+
+
 class TestNumericalErrors:
     def test_non_fixed_point_seed(self, orbit_scenario, tmp_path, capsys):
         code = main(["periodic_orbit", "--scenario", str(orbit_scenario),

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
+from scipy.interpolate import BPoly
 from scipy.optimize import brentq
 
 import routhsim as rs
+from routhsim import hybrid
 from routhsim.hybrid import (
     AdmissibilityError,
     HybridSystemSpec,
@@ -20,12 +22,16 @@ from routhsim.hybrid import (
     ZenoError,
     as_state,
     apply_reset,
+    _HULL,
     _SUBSTEPS,
     _TAU,
+    _affine,
     _brent,
     _critical_points,
     _first_crossing,
+    _flow,
     _samples,
+    _side,
     integrate_segment,
     run_hybrid,
 )
@@ -254,6 +260,15 @@ class TestBrent:
         except (ValueError, RuntimeError) as exc:
             root = type(exc)
         return root, calls
+
+    @pytest.mark.parametrize("f", [lambda x: 1e-308 * (x ** 3 - 0.2),
+                                   lambda x: 5e-309 * (2.0 ** x - 1.5),
+                                   lambda x: 1e-310 * (x * x - 0.3)])
+    def test_underflowed_extrapolation_bisects_as_brentq(self, f):
+        # Subnormal values make the extrapolation's denominator 0.0; C
+        # divides by it and bisects, and so must the port.
+        assert (self.outcome(_brent, f, 0.0, 1.0, rtol=8.9e-16)
+                == self.outcome(brentq, f, 0.0, 1.0, rtol=8.9e-16))
 
     @pytest.mark.parametrize("rtol", [8.9e-16, 4 * np.finfo(float).eps],
                              ids=["engine", "invariance_check"])
@@ -584,7 +599,185 @@ class TestCertifiedSegment:
         assert event.time == pytest.approx(self.HALF_PERIOD, abs=3e-11)
 
 
+def segment_bits(spec, start, t_max, watch=None):
+    """Everything a flow returns, as bytes: knots, states, dense values,
+    the event and the watch hit; or the error it raised."""
+    try:
+        seg, event, hit = _flow(spec, start, 0.0, t_max, 1e-10, watch)
+    except TangentialCrossingError as exc:
+        return str(exc)
+    t = np.linspace(seg.t[0], seg.t[-1], 65)
+    return (seg.t.tobytes(), seg.y.tobytes(), seg.dense(t).tobytes(),
+            None if event is None else
+            (event.time, event.pre_state.tobytes(), event.guard_residual),
+            None if hit is None else (hit[0], hit[1].tobytes()))
+
+
+def graze_level(spec, start, t_max, normal):
+    """The largest value of normal . s on the flow from `start`, at a zero
+    of its rate between two dense samples; None when it is at an end."""
+    far = dataclasses.replace(spec, guard=lambda s: float(s[0]) - 10.0)
+    seg, event = integrate_segment(far, start, 0.0, t_max)
+    assert event is None
+    t = np.linspace(0.0, t_max, 3001)
+    i = int(np.argmax(normal @ seg.dense(t)))
+    if not 0 < i < t.size - 1:
+        return None
+    rate = lambda u: normal @ np.asarray(spec.vector_field(seg.dense(u)))
+    return float(normal @ seg.dense(brentq(rate, t[i - 1], t[i + 1], xtol=1e-15)))
+
+
+def slip_stance(kappa):
+    return rs.slip_hybrid_spec(rs.SlipParams(kappa=kappa))
+
+
+class TestAffineEnclosure:
+    """Steps that an affine event's Bernstein enclosure proves one-signed
+    are not sampled, and that changes nothing the flow returns."""
+
+    def test_hull_is_the_dense_output_in_bernstein_form(self):
+        rng = np.random.default_rng(5)
+        y_old, F = rng.normal(size=1), rng.normal(size=(7, 1))
+        step = hybrid.DenseStep(0.0, 1.0, y_old, F)
+        c = _HULL @ np.concatenate([y_old, F[:, 0]])
+        x = np.linspace(0.0, 1.0, 17)
+        bernstein = BPoly(c[:, None], [0.0, 1.0])
+        np.testing.assert_allclose(bernstein(x), step(x)[0], rtol=0, atol=1e-13)
+        assert c[0] == y_old[0] and c[-1] == pytest.approx(y_old[0] + F[0, 0])
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(40.0, 60.0), st.floats(0.78, 0.9), st.floats(0.2, 1.5),
+           st.floats(-13.0, -6.0), st.sampled_from([-1.0, 1.0]),
+           st.sampled_from(["rising", "both"]))
+    @example(50.0, 0.8, 0.5, -13.0, 1.0, "rising")
+    def test_declared_guard_finds_what_sampling_finds(
+            self, kappa, xi, phidot, log_eps, side, direction):
+        # The guard level grazes the stance's largest xi from above or below.
+        spec = slip_stance(kappa)
+        seed = np.array([xi, 0.0, 0.0, phidot])
+        top = graze_level(spec, seed, 3.0, np.eye(4)[0])
+        assert top is not None
+        level = top + side * 10.0 ** log_eps
+        declared = dataclasses.replace(spec, guard=lambda s: float(s[0]) - level,
+                                       guard_direction=direction)
+        assert declared.guard_gradient is not None
+        undeclared = dataclasses.replace(declared, guard_gradient=None)
+        assert (segment_bits(declared, seed, 3.0)
+                == segment_bits(undeclared, seed, 3.0))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(40.0, 60.0), st.floats(0.2, 1.5),
+           st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+           st.floats(-13.0, -6.0), st.sampled_from([-1.0, 1.0]))
+    @example(50.0, 0.5, [1.0, 0.0, 0.0, 0.0], -13.0, -1.0)
+    def test_section_watch_finds_what_sampling_finds(
+            self, kappa, phidot, direction, log_eps, side):
+        # A hyperplane grazing the flow's largest normal . s, watched both
+        # ways: enclosed, and with the margin made infinite so that every
+        # step is sampled.
+        normal = np.asarray(direction) + np.eye(4)[0]
+        normal /= np.linalg.norm(normal)
+        spec = dataclasses.replace(slip_stance(kappa),
+                                   guard=lambda s: float(s[0]) - 10.0)
+        seed = np.array([0.8, 0.0, 0.0, phidot])
+        top = graze_level(spec, seed, 3.0, normal)
+        assume(top is not None)
+        level = top + side * 10.0 ** log_eps
+        watch = (normal, level * normal, "both", 0.0)
+        enclosed = segment_bits(spec, seed, 3.0, watch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hybrid, "_HULL_ULPS", math.inf)
+            sampled = segment_bits(spec, seed, 3.0, watch)
+        assert enclosed == sampled
+
+    def test_step_inside_the_margin_is_sampled(self):
+        # y' = (1, 0) from x = 1e6, whose enclosure margin is about 1e-7:
+        # the guard starts 1e-8 above its level, so the first step's lowest
+        # coefficient is positive but inside the margin, and it is sampled.
+        x0 = 1e6
+        y_old = np.array([x0, 0.0])
+        YF = np.zeros((8, 2))
+        YF[0], YF[1] = y_old, [0.1, 0.0]
+        size = math.sqrt(8.0) * np.linalg.norm(YF)
+        hull = _affine(np.array([1.0, 0.0]), -(x0 - 1e-8), 2 * x0, 2)
+        assert 1e-8 < hull[2] * size + hull[3] < 1e-6
+        assert _side(hull, YF, size) == 0
+        far = _affine(np.array([1.0, 0.0]), -(x0 - 1.0), 2 * x0, 2)
+        assert _side(far, YF, size) == 1
+        below = _affine(np.array([1.0, 0.0]), -(x0 + 1.0), 2 * x0, 2)
+        assert _side(below, YF, size) == -1
+
+        for gap, sampled_steps in ((1e-8, 1), (1.0, 0)):
+            calls = []
+
+            def guard(s, level=x0 - gap):
+                calls.append(1)
+                return float(s[0]) - level
+
+            spec = HybridSystemSpec(vector_field=lambda s: np.array([1.0, 0.0]),
+                                    guard=guard, reset=lambda s: np.array(s),
+                                    guard_gradient=[1.0, 0.0])
+            segment, event = integrate_segment(spec, y_old, 0.0, 5.0)
+            assert event is None and segment.t.size - 1 > 1
+            assert len(calls) == 1 + _SUBSTEPS * sampled_steps
+
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_far_declared_guard_is_called_once_per_flow(self, watched):
+        calls = []
+
+        def guard(s):
+            calls.append(1)
+            return float(s[0]) - 10.0
+
+        spec = HybridSystemSpec(vector_field=lambda s: np.array([s[1], -s[0]]),
+                                guard=guard, reset=lambda s: np.array(s),
+                                guard_gradient=np.array([1.0, 0.0]))
+        watch = (np.array([0.0, 1.0]), np.zeros(2), "rising", 0.0)
+        segment, event, hit = _flow(spec, [1.0, 0.0], 0.0, 5.0, 1e-10,
+                                    watch if watched else None)
+        assert event is None and segment.t.size - 1 > 1
+        assert (hit is not None) == watched
+        assert len(calls) == 1
+        # run_hybrid makes one flow, so one call.
+        calls.clear()
+        run_hybrid(spec, [1.0, 0.0], 0.0, 5.0)
+        assert len(calls) == 1
+
+    def test_slip_gradient_matches_its_guard(self):
+        rng = np.random.default_rng(11)
+        params = rs.SlipParams(kappa=50.0, l0=0.9)
+        specs = [rs.slip_hybrid_spec(params),
+                 rs.closed_loop_slip_spec(params, rs.ConstraintCoefficients(0.8, 0.05))]
+        for spec in specs:
+            np.testing.assert_array_equal(spec.guard_gradient, np.eye(4)[0])
+            states = rng.uniform(-3.0, 3.0, size=(50, 4))
+            offsets = {spec.guard(s) - spec.guard_gradient @ s for s in states}
+            assert max(offsets) - min(offsets) <= 1e-15
+            assert min(offsets) == pytest.approx(-0.9)
+
+    def test_wrong_gradient_length_raises(self):
+        spec = sawtooth(guard_gradient=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="guard_gradient must have 2"):
+            integrate_segment(spec, [0.0, 0.0], 0.0, 2.0)
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("gradient", [[1.0, NAN], [INF, 0.0], [[1.0, 0.0]],
+                                          1.0])
+    def test_bad_guard_gradient(self, gradient):
+        with pytest.raises(ValueError, match="guard_gradient"):
+            sawtooth(guard_gradient=gradient)
+
+    def test_guard_gradient_kept_as_float_array(self):
+        spec = sawtooth(guard_gradient=[1, 0])
+        assert spec.guard_gradient.dtype == float
+        traced = dataclasses.replace(spec, guard=lambda s: float(s[0]) - 1.0)
+        assert traced.guard_gradient is spec.guard_gradient
+        # The declaration changes no result, so it takes no part in == and
+        # hash, and a declared spec stays hashable.
+        assert dataclasses.replace(spec, guard_gradient=np.array([1.0, 0.0])) == spec
+        assert hash(rs.slip_hybrid_spec(rs.SlipParams(kappa=50.0))) is not None
+
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             HybridSystemSpec(vector_field=lambda s: s, guard=lambda s: 0.0,

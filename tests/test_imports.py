@@ -42,6 +42,19 @@ def test_no_scipy_module_is_loaded():
     assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
+def test_import_loads_no_numpy_polynomial():
+    # The crossing scan's matrices are built at import from math.comb and
+    # numpy.linalg; numpy.polynomial is loaded only when a fit is rooted.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    script = ("import json, sys, routhsim; print(json.dumps(sorted(m for m in "
+              "sys.modules if m.startswith('numpy.polynomial'))))")
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
 def _unused_imports(path):
     """Names a module imports but never reads."""
     tree = ast.parse(path.read_text())

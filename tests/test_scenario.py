@@ -134,6 +134,28 @@ class TestParsing:
                 parse_scenario("model: slip\ntask: simulate\n"
                                f"outputs: {{{key}: ''}}\n")
 
+    @pytest.mark.parametrize("key", ["trajectory", "report"])
+    @pytest.mark.parametrize("name", ["a\0b", "../escaped.csv", "/abs/escaped.yaml",
+                                      "sub/r.yaml", ".", "..", ""])
+    def test_output_name_outside_out_rejected(self, key, name):
+        with pytest.raises(ScenarioError, match=f"outputs.{key} must be a plain"):
+            Outputs(**{key: name})
+
+    @pytest.mark.parametrize("key", ["trajectory", "report"])
+    def test_nul_output_name_rejected_when_parsed(self, key):
+        with pytest.raises(ScenarioError, match=f"outputs.{key}"):
+            parse_scenario("model: slip\ntask: simulate\n"
+                           f'outputs: {{{key}: "a\\0b"}}\n')
+
+    def test_alternative_separator_rejected(self, monkeypatch):
+        monkeypatch.setattr(scenario.os, "altsep", "\\")
+        with pytest.raises(ScenarioError, match="outputs.report"):
+            Outputs(report="sub\\r.yaml")
+
+    @pytest.mark.parametrize("name", ["run-1.csv", "..csv", "a.b.yaml", "r"])
+    def test_plain_output_name_accepted(self, name):
+        assert Outputs(trajectory=name, report=name).report == name
+
     def test_non_numeric_param_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario("model: slip\ntask: simulate\nparams: {kappa: soft}\n")
