@@ -35,8 +35,9 @@ class PendulumParams:
     mu: float = 1.0      # angular momentum about the pivot
 
     def __post_init__(self):
-        if self.m <= 0 or self.k <= 0:
-            raise ValueError("mass and spring constant must be positive")
+        for name in ("m", "k"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,16 @@ class SlipParams:
 # --------------------------------------------------------------------------
 
 def pendulum_system(params: PendulumParams) -> MechanicalSystem:
-    """Mass on a spring in the plane; radius is shape, polar angle is cyclic."""
+    """Mass on a spring in the plane; radius is shape, polar angle is cyclic.
+
+    Its callables take one shape point or a stack of them (a leading axis).
+    """
     m, k = params.m, params.k
     return MechanicalSystem(
         shape_dim=1,
-        mass_shape=lambda x: np.array([[m]]),
-        inertia_cyclic=lambda x: m * float(x[0]) ** 2,
-        potential=lambda x: 0.5 * k * float(x[0]) ** 2,
+        mass_shape=lambda x: np.full(np.shape(x)[:-1] + (1, 1), m),
+        inertia_cyclic=lambda x: m * np.asarray(x, dtype=float)[..., 0] ** 2,
+        potential=lambda x: 0.5 * k * np.asarray(x, dtype=float)[..., 0] ** 2,
     )
 
 
@@ -85,8 +89,7 @@ def pendulum_routhian(params: PendulumParams) -> RouthianSystem:
 
 def pendulum_symmetry() -> ReversalSymmetry:
     """Plain velocity reversal: the identity involution on configuration."""
-    return ReversalSymmetry(F=lambda q: np.asarray(q, dtype=float),
-                            dF=lambda q: np.eye(np.asarray(q).size))
+    return ReversalSymmetry(matrix=np.eye(1))
 
 
 # --------------------------------------------------------------------------
@@ -94,14 +97,35 @@ def pendulum_symmetry() -> ReversalSymmetry:
 # --------------------------------------------------------------------------
 
 def slip_mechanical(params: SlipParams) -> MechanicalSystem:
+    """The stance's shape kinetics and potential in (xi, phi).
+
+    Its callables take one shape point or a stack of them (a leading axis).
+    """
     m, inertia, g, l0, kappa = (params.m, params.inertia, params.g,
                                 params.l0, params.kappa)
+
+    def mass_shape(x):
+        x = np.asarray(x, dtype=float)
+        M = np.zeros(x.shape[:-1] + (2, 2))
+        M[..., 0, 0] = m
+        M[..., 1, 1] = m * x[..., 0] ** 2
+        return M
+
+    def inertia_cyclic(x):
+        # A plain float at one point: reconstruct_cyclic asks once per node.
+        x = np.asarray(x)
+        return inertia if x.ndim == 1 else np.full(x.shape[:-1], inertia)
+
+    def potential(x):
+        x = np.asarray(x, dtype=float)
+        xi, phi = x[..., 0], x[..., 1]
+        return m * g * xi * np.cos(phi) + 0.5 * kappa * (xi - l0) ** 2
+
     return MechanicalSystem(
         shape_dim=2,
-        mass_shape=lambda x: np.array([[m, 0.0], [0.0, m * float(x[0]) ** 2]]),
-        inertia_cyclic=lambda x: inertia,
-        potential=lambda x: (m * g * float(x[0]) * np.cos(float(x[1]))
-                             + 0.5 * kappa * (float(x[0]) - l0) ** 2),
+        mass_shape=mass_shape,
+        inertia_cyclic=inertia_cyclic,
+        potential=potential,
     )
 
 
@@ -151,9 +175,7 @@ def slip_routhian(params: SlipParams) -> RouthianSystem:
 
 def slip_symmetry() -> ReversalSymmetry:
     """Leg-angle reflection: F(xi, phi) = (xi, -phi)."""
-    R = np.diag([1.0, -1.0])
-    return ReversalSymmetry(F=lambda q: R @ np.asarray(q, dtype=float),
-                            dF=lambda q: R)
+    return ReversalSymmetry(matrix=np.diag([1.0, -1.0]))
 
 
 def slip_guard(params: SlipParams):
@@ -236,8 +258,9 @@ class ConstraintCoefficients:
     c2: float
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.c2 <= 0:
-            raise ValueError("constraint coefficients must be positive")
+        for name in ("c0", "c2"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def quadratic_constraint(coeffs: ConstraintCoefficients) -> ZeroDynamicsManifold:

@@ -49,13 +49,45 @@ class MechanicalSystem:
         if self.shape_dim < 1:
             raise ValueError("shape_dim must be positive")
 
-    def cyclic_inertia(self, x) -> float:
-        val = float(self.inertia_cyclic(np.asarray(x, dtype=float)))
+    def cyclic_inertia(self, x):
+        """M_theta at one shape point (d,) as a float, or at each row of a
+        stack (k, d) as a (k,) array."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            val = _per_point(self.inertia_cyclic, x, (), "inertia_cyclic")
+            bad = val[~(np.isfinite(val) & (val >= INERTIA_FLOOR))]
+            if bad.size:
+                raise _singular(bad[0])
+            return val
+        val = float(self.inertia_cyclic(x))
         if not (math.isfinite(val) and val >= INERTIA_FLOOR):
-            raise SingularInertiaError(
-                f"cyclic inertia {val:.3e} is not finite or below "
-                f"{INERTIA_FLOOR:g}; the reduction is singular here")
+            raise _singular(val)
         return val
+
+
+def _singular(inertia: float) -> SingularInertiaError:
+    return SingularInertiaError(
+        f"cyclic inertia {inertia:.3e} is not finite or below "
+        f"{INERTIA_FLOOR:g}; the reduction is singular here")
+
+
+def _per_point(fn, x: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """fn(x) as floats of shape x.shape[:-1] + shape: one value per point.
+
+    At one point, a result of the right size is reshaped. A stack's result
+    of any other shape is refused rather than broadcast or reshaped, so
+    that a callable that reads only one point (x[0], say) cannot pass for
+    one that maps every row.
+    """
+    val = np.asarray(fn(x), dtype=float)
+    want = x.shape[:-1] + shape
+    if x.ndim == 1 and val.size == math.prod(shape):
+        return val.reshape(shape)
+    if val.shape != want:
+        raise ValueError(f"{name} gave shape {val.shape} at points of shape "
+                         f"{x.shape}; one value of shape {shape} per point "
+                         f"means {want}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -76,18 +108,30 @@ def momentum(sys: MechanicalSystem, x, xdot, thetadot: float) -> float:
     return sys.cyclic_inertia(x) * float(thetadot)
 
 
-def effective_potential(sys: RouthianSystem, x) -> float:
-    """V(x) + mu^2 / (2 M_theta(x)): the potential governing the reduced motion."""
+def effective_potential(sys: RouthianSystem, x):
+    """V(x) + mu^2 / (2 M_theta(x)): the potential governing the reduced motion.
+
+    A float at one shape point (d,), a (k,) array at a stack (k, d).
+    """
     x = np.asarray(x, dtype=float)
-    return float(sys.base.potential(x)) + sys.mu ** 2 / (2.0 * sys.base.cyclic_inertia(x))
+    value = (_per_point(sys.base.potential, x, (), "potential")
+             + sys.mu ** 2 / (2.0 * sys.base.cyclic_inertia(x)))
+    return float(value) if x.ndim == 1 else value
 
 
-def routhian_eval(sys: RouthianSystem, x, xdot) -> float:
-    """The Routhian: shape kinetic energy minus the effective potential."""
+def routhian_eval(sys: RouthianSystem, x, xdot):
+    """The Routhian: shape kinetic energy minus the effective potential.
+
+    A float at one point (x, xdot) of shape (d,) each, a (k,) array at
+    stacks (k, d); the kinetic energy is summed in the same order either way.
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(xdot, dtype=float)
-    M = np.asarray(sys.base.mass_shape(x), dtype=float)
-    return 0.5 * float(v @ M @ v) - effective_potential(sys, x)
+    d = sys.base.shape_dim
+    M = _per_point(sys.base.mass_shape, x, (d, d), "mass_shape")
+    vM = np.sum(v[..., :, None] * M, axis=-2)
+    value = 0.5 * np.sum(vM * v, axis=-1) - effective_potential(sys, x)
+    return float(value) if x.ndim == 1 else value
 
 
 def reduced_energy(sys: RouthianSystem, state) -> float:
@@ -183,8 +227,8 @@ def reconstruct_cyclic(sys: RouthianSystem, traj: HybridTrajectory,
             # The node states of every knot interval in one evaluation.
             nodes = seg.t[:-1, None] + half[:, None] * (1.0 + _GAUSS_NODES)
             states = seg.dense(nodes.ravel()).T
-            inverse = np.array([1.0 / sys.base.cyclic_inertia(x[:d])
-                                for x in states]).reshape(nodes.shape)
+            inverse = np.array([1.0 / sys.base.cyclic_inertia(x)
+                                for x in states[:, :d]]).reshape(nodes.shape)
             thetas[1:] += np.cumsum(mu_i * half * (inverse @ _GAUSS_WEIGHTS))
         out.append((seg.t.copy(), thetas))
         theta = float(thetas[-1])

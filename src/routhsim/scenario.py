@@ -91,10 +91,14 @@ class Scenario:
     seed: Optional[tuple] = None
     numerics: Numerics = Numerics()
     outputs: Outputs = Outputs()
+    # The model's parameter dataclasses, built from params: PendulumParams,
+    # SlipParams, or (SlipParams, ConstraintCoefficients) for controlled_slip.
+    model_params: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The one validation site of parsing, direct construction and
-        # --seed-override; params and seed are stored cast to floats.
+        # --seed-override; params and seed are stored cast to floats, and
+        # a parameter out of its model's range is a ScenarioError.
         if self.model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.task not in TASKS:
@@ -109,6 +113,11 @@ class Scenario:
             if not math.isfinite(value):
                 raise ScenarioError(f"params.{key} must be finite")
         object.__setattr__(self, "params", params)
+        try:
+            object.__setattr__(self, "model_params",
+                               _model_params(self.model, params))
+        except ValueError as exc:
+            raise ScenarioError(f"{context}: {exc}") from exc
         if self.seed is not None:
             if not isinstance(self.seed, (list, tuple)):
                 raise ScenarioError("seed must be a list of numbers")
@@ -224,20 +233,21 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def _slip_params(sc: Scenario,
-                 base: models.SlipParams = certified.CERTIFIED_SLIP.params,
-                 ) -> models.SlipParams:
-    """`base` with the scenario's SLIP parameters laid over it."""
-    names = {f.name for f in dataclasses.fields(models.SlipParams)}
-    return dataclasses.replace(
-        base, **{k: v for k, v in sc.params.items() if k in names})
-
-
-def _controlled(sc: Scenario):
+def _model_params(model: str, params: dict):
+    """The model's parameter dataclasses, the given parameters laid over the
+    certified tuples; each dataclass raises ValueError on a value out of
+    range, as does the controlled model on a mass other than 1."""
+    if model == "pendulum":
+        return models.PendulumParams(**params)
+    if model == "slip":
+        return dataclasses.replace(certified.CERTIFIED_SLIP.params, **params)
     cert = certified.CERTIFIED_CONTROLLED
-    coeffs = models.ConstraintCoefficients(sc.params.get("c0", cert.c0),
-                                           sc.params.get("c2", cert.c2))
-    return _slip_params(sc, cert.params), coeffs
+    coeffs = models.ConstraintCoefficients(params.get("c0", cert.c0),
+                                           params.get("c2", cert.c2))
+    slip = dataclasses.replace(cert.params, **{
+        k: v for k, v in params.items() if k not in ("c0", "c2")})
+    models.controlled_slip_system(slip, coeffs)
+    return slip, coeffs
 
 
 def _default_seed(sc: Scenario) -> np.ndarray:
@@ -258,14 +268,14 @@ def _spec(sc: Scenario) -> HybridSystemSpec:
     reset is the identity.
     """
     if sc.model == "pendulum":
-        sys = models.pendulum_routhian(models.PendulumParams(**sc.params))
+        sys = models.pendulum_routhian(sc.model_params)
         spec = HybridSystemSpec(vector_field=routh_vector_field(sys),
                                 guard=lambda s: -1.0, reset=lambda s: s,
                                 guard_gradient=np.zeros(2))
     elif sc.model == "slip":
-        spec = models.slip_hybrid_spec(_slip_params(sc))
+        spec = models.slip_hybrid_spec(sc.model_params)
     else:
-        spec = models.closed_loop_slip_spec(*_controlled(sc))
+        spec = models.closed_loop_slip_spec(*sc.model_params)
     return dataclasses.replace(spec, max_impacts=sc.numerics.max_impacts,
                                event_tol=sc.numerics.event_tol)
 
@@ -277,7 +287,7 @@ def _orbit(sc: Scenario):
         return symmetry.construct_periodic_orbit(_spec(sc), sym, seed,
                                                  num.t_max, tol=num.tol)
     if sc.model == "controlled_slip":
-        manifold = models.quadratic_constraint(_controlled(sc)[1])
+        manifold = models.quadratic_constraint(sc.model_params[1])
         return control.periodic_orbit_on_manifold(_spec(sc), sym, manifold,
                                                   seed, num.t_max, tol=num.tol)
     raise ScenarioError(f"{sc.task} requires the slip or controlled_slip model")
@@ -377,7 +387,7 @@ def _task_poincare(sc: Scenario):
 def _task_zero_dynamics(sc: Scenario):
     if sc.model != "controlled_slip":
         raise ScenarioError("zero_dynamics requires the controlled_slip model")
-    params, coeffs = _controlled(sc)
+    params, coeffs = sc.model_params
     manifold = models.quadratic_constraint(coeffs)
     orbit = _orbit(sc)
 
@@ -408,31 +418,33 @@ def _task_zero_dynamics(sc: Scenario):
 def _task_check_suite(sc: Scenario):
     if sc.model not in ("slip", "pendulum"):
         raise ScenarioError("check_suite requires the slip or pendulum model")
-    rng = np.random.default_rng(0)
     if sc.model == "slip":
-        sys = models.slip_routhian(_slip_params(sc))
+        sys = models.slip_routhian(sc.model_params)
         sym = models.slip_symmetry()
         lo, hi = [0.5, -1.3, -2.0, -3.0], [1.5, 1.3, 2.0, 3.0]
     else:
-        sys = models.pendulum_routhian(models.PendulumParams(**sc.params))
+        sys = models.pendulum_routhian(sc.model_params)
         sym = models.pendulum_symmetry()
         lo, hi = [0.5, -2.0], [2.0, 2.0]
     f = routh_vector_field(sys)
     d = sys.base.shape_dim
-    inv = rev = routh = 0.0
     # The residuals of symmetry.involution_residual and reversibility_residual
-    # and the Routhian's, all from one image phi(s) per sample.
-    for s in rng.uniform(lo, hi, size=(1000, 2 * d)):
-        img = sym.phi(s)
-        inv = max(inv, float(np.max(np.abs(sym.phi(img) - s))))
-        rev = max(rev, float(np.max(np.abs(f(img) + sym.dphi(s) @ f(s)))))
-        routh = max(routh, abs(routhian_eval(sys, img[:d], img[d:])
-                               - routhian_eval(sys, s[:d], s[d:])))
+    # and the Routhian's, on the stack of draws and its stack of images; the
+    # field is called once per state.
+    s = np.random.default_rng(0).uniform(lo, hi, size=(1000, 2 * d))
+    img = sym.phi(s)
+    inv = float(np.max(np.abs(sym.phi(img) - s)))
+    field_s = np.array([f(row) for row in s])
+    field_img = np.array([f(row) for row in img])
+    defect = field_img + (sym.dphi(s) @ field_s[:, :, None])[:, :, 0]
+    rev = float(np.max(np.abs(defect)))
+    routh = float(np.max(np.abs(routhian_eval(sys, img[:, :d], img[:, d:])
+                                - routhian_eval(sys, s[:, :d], s[:, d:]))))
     checks = [_check("involution", inv, symmetry.INVOLUTION_TOL),
               _check("reversibility", rev, symmetry.REVERSIBILITY_TOL),
               _check("routhian_invariance", routh,
                      symmetry.ROUTHIAN_INVARIANCE_TOL)]
-    results = {"samples": 1000, "involution_residual": inv,
+    results = {"samples": len(s), "involution_residual": inv,
                "reversibility_residual": rev,
                "routhian_invariance_residual": routh}
     return results, checks, None

@@ -6,7 +6,7 @@ after twice the time-to-impact when the reset agrees with Phi on the guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,10 +43,33 @@ class ResetMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReversalSymmetry:
-    """A smooth involution F on configuration space and its tangent lift."""
+    """A smooth involution F on configuration space and its tangent lift.
 
-    F: Callable[[np.ndarray], np.ndarray]
+    Given by callables, F and optionally its Jacobian dF, or by a matrix:
+    ReversalSymmetry(matrix=R) is the linear reflection F(q) = R q, whose
+    F and dF it supplies. phi and dphi take one state (n,) or a stack (k, n)
+    of them; a linear symmetry maps a stack with one product, a symmetry
+    given by callables row by row.
+    """
+
+    F: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dF: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    matrix: Optional[np.ndarray] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.matrix is None:
+            if self.F is None:
+                raise ValueError("a reversal symmetry needs F or matrix")
+            return
+        if self.F is not None or self.dF is not None:
+            raise ValueError("a linear symmetry takes F and dF from its matrix")
+        R = np.array(self.matrix, dtype=float)
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or not np.isfinite(R).all():
+            raise ValueError(f"matrix must be a finite square matrix, got {R!r}")
+        R.setflags(write=False)
+        object.__setattr__(self, "matrix", R)
+        object.__setattr__(self, "F", lambda q: np.asarray(q, dtype=float) @ R.T)
+        object.__setattr__(self, "dF", lambda q: R)
 
     def config_jacobian(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -54,22 +77,56 @@ class ReversalSymmetry:
             return np.asarray(self.dF(q), dtype=float)
         return _fd.jacobian(self.F, q)
 
+    def _states(self, state) -> np.ndarray:
+        """One state through as_state, or a finite (k, n) stack of them."""
+        s = np.asarray(state, dtype=float)
+        if s.ndim != 2:
+            s = as_state(s)
+        elif s.shape[1] == 0 or s.shape[1] % 2 or not np.isfinite(s).all():
+            raise ValueError(f"states must be finite rows of even length, "
+                             f"got shape {s.shape}")
+        if self.matrix is not None and s.shape[-1] != 2 * self.matrix.shape[0]:
+            raise ValueError(f"states of size {s.shape[-1]} do not fit the "
+                             f"{self.matrix.shape[0]}-D configuration matrix")
+        return s
+
     def phi(self, state) -> np.ndarray:
-        """The lifted involution on (q, v)."""
-        s = as_state(state)
-        d = s.size // 2
+        """The lifted involution on (q, v), of one state or of each row."""
+        s = self._states(state)
+        d = s.shape[-1] // 2
+        if self.matrix is not None:
+            R = self.matrix
+            return np.concatenate([s[..., :d] @ R.T, -(s[..., d:] @ R.T)], axis=-1)
+        if s.ndim == 2:
+            return np.array([self.phi(row) for row in s]).reshape(s.shape)
         q, v = s[:d], s[d:]
+        image = np.asarray(self.F(q), dtype=float)
         J = self.config_jacobian(q)
-        return np.concatenate([np.asarray(self.F(q), dtype=float), -J @ v])
+        if image.shape != (d,) or J.shape != (d, d):
+            raise ValueError(f"F and dF of a configuration of size {d} must have "
+                             f"shapes ({d},) and ({d}, {d}), got {image.shape} "
+                             f"and {J.shape}")
+        return np.concatenate([image, -J @ v])
 
     def dphi(self, state) -> np.ndarray:
-        """Jacobian of phi: [[dF, 0], [-d(dF v)/dq, -dF]].
+        """Jacobian of phi: [[dF, 0], [-d(dF v)/dq, -dF]], one (n, n) matrix
+        per state.
 
-        The velocity-block derivative is taken by finite differences of dF;
-        it vanishes identically for linear F.
+        The velocity block d(dF v)/dq vanishes identically for a linear
+        symmetry, whose Jacobian is the constant diag(R, -R); for one given
+        by callables it is taken by central differences of dF.
         """
-        s = as_state(state)
-        d = s.size // 2
+        s = self._states(state)
+        n = s.shape[-1]
+        d = n // 2
+        if self.matrix is not None:
+            R = self.matrix
+            lift = np.zeros(s.shape[:-1] + (n, n))
+            lift[..., :d, :d] = R
+            lift[..., d:, d:] = -R
+            return lift
+        if s.ndim == 2:
+            return np.array([self.dphi(row) for row in s]).reshape(s.shape + (n,))
         q, v = s[:d], s[d:]
         J = self.config_jacobian(q)
         B = _fd.jacobian(lambda z: -(self.config_jacobian(z) @ v), q)
@@ -204,8 +261,7 @@ def construct_periodic_orbit(spec: HybridSystemSpec, sym: ReversalSymmetry,
             f"{CLOSURE_TOL * amplitude:.3e}")
 
     mirrored = seg2.dense(2.0 * t1 - seg1.t).T
-    sym_res = float(max(np.max(np.abs(sym.phi(yk) - gk))
-                        for yk, gk in zip(seg1.y, mirrored)))
+    sym_res = float(np.max(np.abs(sym.phi(seg1.y) - mirrored)))
 
     traj = HybridTrajectory(segments=(seg1, seg2), impacts=(event,),
                             t0=0.0, tf=2.0 * t1)

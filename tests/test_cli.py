@@ -129,6 +129,20 @@ class TestInputErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.yaml"]
 
 
+    @pytest.mark.parametrize("model, params", [
+        ("slip", "{m: 0.0}"), ("slip", "{l0: -1.0}"), ("slip", "{inertia: 0.0}"),
+        ("pendulum", "{k: -1.0}"), ("controlled_slip", "{m: 2.0}")],
+        ids=["slip_m", "slip_l0", "slip_inertia", "pendulum_k", "controlled_m"])
+    def test_param_out_of_range(self, tmp_path, capsys, model, params):
+        path = tmp_path / "range.yaml"
+        path.write_text(f"model: {model}\ntask: check_suite\nparams: {params}\n")
+        code = main(["check_suite", "--scenario", str(path),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: params ({model}): ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestNumericalErrors:
     def test_non_fixed_point_seed(self, orbit_scenario, tmp_path, capsys):
         code = main(["periodic_orbit", "--scenario", str(orbit_scenario),

@@ -55,6 +55,25 @@ def test_import_loads_no_numpy_polynomial():
     assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
+def test_import_adds_only_its_own_modules():
+    # `import routhsim` after its dependencies: everything it loads beyond
+    # them is timed as the benchmark's set-up, so no import-time module
+    # comes in unnoticed.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    script = ("import json, sys, numpy, yaml; before = set(sys.modules); "
+              "import routhsim; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    package = ("_dop853", "_fd", "certified", "control", "hybrid", "models",
+               "poincare", "routh", "scenario", "symmetry")
+    assert json.loads(result.stdout.splitlines()[-1]) == sorted(
+        ["__future__", "copy", "dataclasses", "routhsim",
+         *(f"routhsim.{name}" for name in package)])
+
+
 def _unused_imports(path):
     """Names a module imports but never reads."""
     tree = ast.parse(path.read_text())

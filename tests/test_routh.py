@@ -81,6 +81,55 @@ class TestRouthianEval:
             reconstruct_cyclic(sys, traj, theta0=0.0)
 
 
+class TestStacks:
+    """The Routhian, the effective potential and the cyclic inertia of a
+    (k, d) stack are the row-by-row results."""
+
+    @pytest.mark.parametrize("make, lo, hi", [
+        (lambda: pendulum(mu=0.7), [0.4, -1.5], [1.8, 1.5]),
+        (lambda: slip(mu=1.1, kappa=60.0),
+         [0.5, -1.2, -2.0, -3.0], [1.5, 1.2, 2.0, 3.0]),
+    ], ids=["pendulum", "slip"])
+    def test_stack_equals_rows(self, make, lo, hi):
+        sys = make()
+        d = sys.base.shape_dim
+        states = np.random.default_rng(31).uniform(lo, hi, (300, 2 * d))
+        x, v = states[:, :d], states[:, d:]
+        for fn, args in ((lambda *a: routhian_eval(sys, *a), (x, v)),
+                         (lambda *a: effective_potential(sys, *a), (x,)),
+                         (sys.base.cyclic_inertia, (x,))):
+            stacked = fn(*args)
+            assert stacked.shape == (300,)
+            assert np.array_equal(stacked, [fn(*row) for row in zip(*args)])
+
+    def test_one_singular_row_raises(self):
+        sys = pendulum()
+        x = np.array([[1.0], [1.2], [1e-6], [0.9]])
+        for fn in (sys.base.cyclic_inertia,
+                   lambda x: effective_potential(sys, x),
+                   lambda x: routhian_eval(sys, x, np.zeros_like(x))):
+            with pytest.raises(SingularInertiaError, match="1.000e-12"):
+                fn(x)
+
+    def test_callables_that_do_not_broadcast_are_refused(self):
+        # Each reads one point: on a stack, the first row or a constant.
+        sys = rs.RouthianSystem(
+            base=rs.MechanicalSystem(shape_dim=1,
+                                     mass_shape=lambda x: np.array([[1.0]]),
+                                     inertia_cyclic=lambda x: x[0] ** 2,
+                                     potential=lambda x: 0.5 * x[0] ** 2),
+            mu=1.0)
+        x = np.array([[1.0], [1.2], [0.9]])
+        assert routhian_eval(sys, x[1], x[2]) == pytest.approx(
+            0.5 * 0.81 - 0.72 - 1.0 / 2.88)
+        with pytest.raises(ValueError, match=r"inertia_cyclic gave shape \(1,\)"):
+            sys.base.cyclic_inertia(x)
+        with pytest.raises(ValueError, match=r"potential gave shape \(1,\)"):
+            effective_potential(sys, x)
+        with pytest.raises(ValueError, match=r"mass_shape gave shape \(1, 1\)"):
+            routhian_eval(sys, x, x)
+
+
 class TestVectorField:
     def test_slip_reference_point(self):
         f = routh_vector_field(slip())

@@ -1,5 +1,6 @@
 """Scenario parsing, defaulting, round-tripping, and run artifacts."""
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,29 @@ class TestParsing:
             with pytest.raises(ScenarioError, match="params.kappa must be a number"):
                 parse_scenario("model: slip\ntask: simulate\n"
                                f"params: {{kappa: {bad}}}\n")
+
+    @pytest.mark.parametrize("model, params, message", [
+        ("slip", {"m": 0.0}, "m must be positive"),
+        ("slip", {"l0": -1.0}, "l0 must be positive"),
+        ("slip", {"inertia": 0.0}, "inertia must be positive"),
+        ("slip", {"phi0": 2.0}, "phi0 must lie in"),
+        ("pendulum", {"k": -1.0}, "k must be positive"),
+        ("controlled_slip", {"c0": -1.0}, "c0 must be positive"),
+        ("controlled_slip", {"m": 2.0}, "the controlled SLIP model requires unit mass"),
+    ], ids=["slip_m", "slip_l0", "slip_inertia", "slip_phi0", "pendulum_k",
+            "controlled_c0", "controlled_m"])
+    def test_param_out_of_range_rejected(self, model, params, message):
+        # The model's own range check, raised where the scenario is built.
+        with pytest.raises(ScenarioError, match=rf"params \({model}\): {message}"):
+            Scenario(model=model, task="simulate", params=params)
+
+    def test_model_params_built_from_params(self):
+        sc = parse_scenario("model: slip\ntask: simulate\nparams: {kappa: 60.0}\n")
+        assert sc.model_params == dataclasses.replace(rs.CERTIFIED_SLIP.params,
+                                                      kappa=60.0)
+        pendulum = parse_scenario("model: pendulum\ntask: simulate\n"
+                                  "params: {k: 2.0}\n")
+        assert pendulum.model_params == rs.PendulumParams(k=2.0)
 
     def test_accepts_preloaded_mapping(self):
         sc = parse_scenario({"model": "slip", "task": "simulate"})
@@ -351,6 +375,31 @@ class TestRunArtifacts:
             symmetry.involution_residual(sym, s) for s in draws)
         assert results["reversibility_residual"] == max(
             symmetry.reversibility_residual(sym, f, s) for s in draws)
+
+    @pytest.mark.parametrize("doc", [
+        "model: slip\ntask: check_suite\nparams: {kappa: 50.0, l0: 1.0}\n",
+        "model: pendulum\ntask: check_suite\n"], ids=["slip", "pendulum"])
+    def test_check_suite_free_of_the_fd_step(self, doc, tmp_path, monkeypatch):
+        # The bundled symmetries' dphi is exact: no central difference runs,
+        # and scaling the step moves neither the results nor dphi.
+        from routhsim import _fd
+
+        sc = parse_scenario(doc)
+        slip = sc.model == "slip"
+        sym = rs.slip_symmetry() if slip else rs.pendulum_symmetry()
+        states = np.random.default_rng(8).uniform(0.5, 1.5, (20, 4 if slip else 2))
+        results, dphi = run(sc, out_dir=str(tmp_path)).results, sym.dphi(states)
+        calls = []
+        steps, step = _fd.steps, _fd.FD_STEP
+        monkeypatch.setattr(_fd, "steps", lambda x: calls.append(1) or steps(x))
+        for scale in (0.1, 10.0):
+            monkeypatch.setattr(_fd, "FD_STEP", scale * step)
+            assert run(sc, out_dir=str(tmp_path)).results == results
+            assert np.array_equal(sym.dphi(states), dphi)
+        assert calls == []
+        # The counter sees a symmetry given by a callable alone.
+        symmetry.ReversalSymmetry(F=lambda q: q).dphi(states[0])
+        assert calls
 
     def test_check_suite_runs_clean(self, tmp_path):
         sc = parse_scenario("model: slip\ntask: check_suite\n"

@@ -94,6 +94,60 @@ class TestTangentLift:
         np.testing.assert_allclose(J[3, :2], 0.0, atol=1e-6)
 
 
+class TestStacks:
+    """phi and dphi of a (k, n) stack are the row-by-row results."""
+
+    @pytest.mark.parametrize("sym, n", [(rs.slip_symmetry(), 4),
+                                        (rs.pendulum_symmetry(), 2)],
+                             ids=["slip", "pendulum"])
+    def test_bundled_stack_equals_rows(self, sym, n):
+        states = np.random.default_rng(11).uniform(-2.0, 2.0, (200, n))
+        for method in (sym.phi, sym.dphi):
+            rows = np.array([method(s) for s in states])
+            assert np.array_equal(method(states), rows)
+        assert sym.phi(states[:0]).shape == (0, n)
+
+    def test_bundled_velocity_block_is_exact(self):
+        # A linear reflection's lift is diag(R, -R), with no difference step.
+        s = np.array([0.9, 0.3, -0.4, 1.1])
+        R = np.diag([1.0, -1.0])
+        np.testing.assert_array_equal(rs.slip_symmetry().dphi(s),
+                                      np.block([[R, np.zeros((2, 2))],
+                                                [np.zeros((2, 2)), -R]]))
+
+    def test_callable_symmetry_is_mapped_row_by_row(self):
+        # F reads q[0] and q[1], so it does not broadcast over a stack.
+        sym = ReversalSymmetry(F=lambda q: np.array([-q[0] + q[1] ** 2, q[1]]))
+        states = np.random.default_rng(12).uniform(-1.0, 1.0, (30, 4))
+        for method in (sym.phi, sym.dphi):
+            assert np.array_equal(method(states),
+                                  np.array([method(s) for s in states]))
+
+    def test_wrong_shapes_refused(self):
+        with pytest.raises(ValueError, match="shapes"):
+            ReversalSymmetry(F=lambda q: np.append(q, 0.0)).phi(np.zeros(4))
+        with pytest.raises(ValueError, match="do not fit"):
+            rs.slip_symmetry().phi(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="finite rows of even length"):
+            rs.slip_symmetry().phi(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="1-D vector"):
+            rs.slip_symmetry().dphi(np.zeros((3, 4, 1)))
+
+    def test_construction(self):
+        with pytest.raises(ValueError, match="needs F or matrix"):
+            ReversalSymmetry()
+        with pytest.raises(ValueError, match="takes F and dF from its matrix"):
+            ReversalSymmetry(F=lambda q: q, matrix=np.eye(2))
+        with pytest.raises(ValueError, match="finite square matrix"):
+            ReversalSymmetry(matrix=np.ones((2, 3)))
+        sym = ReversalSymmetry(matrix=[[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(sym.F(np.array([1.0, 2.0])), [2.0, 1.0])
+        np.testing.assert_array_equal(sym.config_jacobian([1.0, 2.0]),
+                                      [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            sym.matrix[0, 0] = 5.0
+
+
 class TestFixedPoints:
     def test_slip_fixed_point_form(self):
         sym = rs.slip_symmetry()
@@ -139,6 +193,21 @@ class TestPeriodicOrbit:
         for t in np.linspace(0.05, period - 0.05, 10):
             delta = traj.state_at(t + period) - traj.state_at(t)
             assert np.max(np.abs(delta)) <= 1e-5
+
+    def test_time_symmetry_residual_is_the_per_knot_maximum(self):
+        # The stacked phi over the first half's knots gives, to the bit, the
+        # largest per-knot defect against the second half's dense output.
+        spec, sym, seed = certified_setup()
+        rng = np.random.default_rng(13)
+        seeds = [seed] + [np.array([xi, 0.0, 0.0, rate]) for xi, rate in
+                          rng.uniform([0.79, 0.4], [0.82, 0.6], (6, 2))]
+        for s0 in seeds:
+            orbit = construct_periodic_orbit(spec, sym, s0, t_max=5.0)
+            first, second = orbit.trajectory.segments
+            mirrored = second.dense(2.0 * orbit.half_period - first.t).T
+            per_knot = max(float(np.max(np.abs(sym.phi(y) - g)))
+                           for y, g in zip(first.y, mirrored))
+            assert orbit.time_symmetry_residual == per_knot
 
     def test_non_fixed_point_seed_rejected(self):
         spec, sym, _ = certified_setup()
